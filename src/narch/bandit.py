@@ -29,7 +29,6 @@ from .laurent import (
     RationalLike,
     ZERO,
     as_rational,
-    compare,
     compare_scaled,
     format_series,
     monomial,
@@ -153,18 +152,6 @@ def env_step(
     return new_state, scheme.zero()
 
 
-def _value_compare(a: RewardValue, b: RewardValue) -> Ordering:
-    if isinstance(a, LaurentSeries) and isinstance(b, LaurentSeries):
-        return compare(a, b)
-    if isinstance(a, LaurentSeries) or isinstance(b, LaurentSeries):
-        raise TypeError("cannot compare a Laurent value against a bare rational")
-    if a < b:
-        return Ordering.LESS
-    if a == b:
-        return Ordering.EQUAL
-    return Ordering.GREATER
-
-
 def mean_compare(
     sum_a: RewardValue, n_a: int, sum_b: RewardValue, n_b: int
 ) -> Ordering:
@@ -215,25 +202,42 @@ def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
     each has been pressed exactly k times. Each row carries the blue reward
     of the round, both exact sums, and the comparison of the blue sample
     mean against the red one. Yields lazily; large round counts stay cheap.
+
+    Rounds come from the closed forms instead of a simulation. After k
+    presses the blue arm has paid its jackpots 0..floor(log2 k), so the
+    blue sum changes only at powers of two and is built once per
+    power-of-two band; the red sum is k units. Both means share the count
+    k, so the blue mean compares with the red one as the blue sum with k:
+    always greater for Laurent sums, whose eps^-1 term outranks every
+    rational, and one integer cross-multiplication for rational sums.
     """
     if n < 1:
         raise ValueError("round count must be positive")
 
     def rounds() -> Iterator[ScriptedRound]:
-        red_state = EnvState()
-        blue_state = EnvState()
-        red_sum = scheme.zero()
-        blue_sum = scheme.zero()
-        for step in range(1, n + 1):
-            red_state, red_reward = env_step(red_state, Arm.RED, scheme)
-            blue_state, blue_reward = env_step(blue_state, Arm.BLUE, scheme)
-            red_sum = red_sum + red_reward
-            if blue_reward:
-                blue_sum = blue_sum + blue_reward
-            yield ScriptedRound(
-                step, blue_reward, red_sum, blue_sum,
-                mean_compare(blue_sum, step, red_sum, step),
-            )
+        laurent = scheme.kind == KIND_LAURENT
+        zero = scheme.zero()
+        blue_sum = zero
+        for j in range(n.bit_length()):
+            first = 1 << j
+            reward = scheme.jackpot(j)
+            blue_sum = blue_sum + reward
+            if not laurent:
+                blue_num, blue_den = blue_sum.numerator, blue_sum.denominator
+            for step in range(first, min(2 * first - 1, n) + 1):
+                if laurent:
+                    red_sum = monomial(step, 0)
+                    blue_vs_red = Ordering.GREATER
+                else:
+                    red_sum = Fraction(step)
+                    red_num = blue_den * step
+                    blue_vs_red = (
+                        Ordering.GREATER if blue_num > red_num
+                        else Ordering.EQUAL if blue_num == red_num
+                        else Ordering.LESS
+                    )
+                yield ScriptedRound(step, reward, red_sum, blue_sum, blue_vs_red)
+                reward = zero
 
     return rounds()
 
@@ -403,3 +407,27 @@ def reward_text(value: RewardValue) -> str:
     if isinstance(value, LaurentSeries):
         return format_series(value)
     return str(value)
+
+
+def mean_text(total: RewardValue, count: int) -> str:
+    """Exact text of the sample mean, equal to reward_text(exact_mean(total, count)).
+
+    A rational or single-term total is reduced from its integer numerator
+    and denominator with one gcd, without building the mean; other series
+    go through :func:`exact_mean`.
+    """
+    if count < 1:
+        raise ValueError("sample count must be positive")
+    suffix = ""
+    if isinstance(total, LaurentSeries):
+        if len(total.terms) != 1:
+            return reward_text(exact_mean(total, count))
+        ((exponent, total),) = total.terms
+        suffix = f" eps^{exponent}"
+    total = as_rational(total)
+    numerator = total.numerator
+    denominator = total.denominator * count
+    divisor = math.gcd(numerator, denominator)
+    if divisor == denominator:
+        return f"{numerator // divisor}{suffix}"
+    return f"{numerator // divisor}/{denominator // divisor}{suffix}"

@@ -10,11 +10,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
-from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .bandit import (
     Arm,
@@ -23,7 +24,7 @@ from .bandit import (
     RewardScheme,
     RunConfig,
     epsilon_greedy_run,
-    exact_mean,
+    mean_text,
     reward_text,
     scripted_eval,
 )
@@ -62,19 +63,38 @@ def _load_json_file(path: str) -> object:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _atomic_output(path: str) -> Iterator[TextIO]:
+    """A text handle on a temp file beside ``path`` that replaces it on success.
+
+    On any failure the temp file is removed and ``path`` is left as it
+    was, so the output is either complete or absent.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        # open() applies the umask like a direct write would; mkstemp forces 0600
+        handle = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def _write_text(path: Optional[str], content: str) -> None:
     if path is None:
         sys.stdout.write(content)
         return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
-
-
-def _rational_text(value: Fraction) -> str:
-    return str(value)
+    with _atomic_output(path) as handle:
+        handle.write(content)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -89,7 +109,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     chain, y = laurent_nonarch_witness(r, args.n)
     verified = verify_nonarch_prefix(chain, y, r)
     payload = {
-        "r": _rational_text(r),
+        "r": str(r),
         "n": args.n,
         "chain": [format_series(x) for x in chain],
         "y": format_series(y),
@@ -116,7 +136,7 @@ def _cmd_measure_feasible_top(args: argparse.Namespace) -> int:
         raise InputError("need 0 <= n-min <= n-max")
     lines = ["n,min_top"]
     for n in range(args.n_min, args.n_max + 1):
-        lines.append(f"{n},{_rational_text(min_feasible_top(n, r))}")
+        lines.append(f"{n},{min_feasible_top(n, r)!s}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -147,13 +167,19 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
     for key in ("scheme", "mode", "steps"):
         if key not in values:
             raise InputError(f"missing required bandit option '{key}'")
+    for key in ("steps", "seed"):
+        value = values.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(
+                f"bandit option '{key}' must be an integer, got {json.dumps(value)}"
+            )
     scheme = RewardScheme.parse(str(values["scheme"]))
     return RunConfig(
         scheme=scheme,
         mode=str(values["mode"]),
-        steps=int(values["steps"]),
+        steps=values["steps"],
         epsilon=as_rational(values.get("epsilon", 0)),
-        seed=int(values.get("seed", 0)),
+        seed=values.get("seed", 0),
         discount=None if values.get("discount") is None else as_rational(values["discount"]),
     )
 
@@ -162,37 +188,42 @@ def _mean_text(value) -> str:
     return "" if value is None else reward_text(value)
 
 
-def _scripted_rows(config: RunConfig) -> tuple[list[list[str]], Optional[int], str]:
-    rows = []
+def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
+    blue, red = Arm.BLUE.value, Arm.RED.value
+    greater, less = Ordering.GREATER, Ordering.LESS
     flip_step = None
-    preferred = Arm.RED
-    for round_ in scripted_eval(config.steps, config.scheme):
-        preferred = Arm.BLUE if round_.blue_vs_red is Ordering.GREATER else Arm.RED
-        if flip_step is None and round_.blue_vs_red is Ordering.LESS:
-            flip_step = round_.step
-        rows.append(
-            [
-                str(round_.step),
-                Arm.BLUE.value,
-                reward_text(round_.blue_reward),
-                _mean_text(exact_mean(round_.red_sum, round_.step)),
-                _mean_text(exact_mean(round_.blue_sum, round_.step)),
-                preferred.value,
-            ]
+    preferred = red
+    reward = None
+    reward_texts = {}
+    # k units over k presses: the red mean is one unit in every round
+    red_cell = mean_text(config.scheme.unit(), 1)
+    for step, blue_reward, _, blue_sum, blue_vs_red in scripted_eval(
+        config.steps, config.scheme
+    ):
+        if blue_reward is not reward:
+            # a jackpot or the zero after it: twice per power-of-two band
+            reward = blue_reward
+            if reward not in reward_texts:
+                reward_texts[reward] = reward_text(reward)
+            reward_cell = reward_texts[reward]
+        preferred = blue if blue_vs_red is greater else red
+        if flip_step is None and blue_vs_red is less:
+            flip_step = step
+        writer.writerow(
+            [str(step), blue, reward_cell, red_cell, mean_text(blue_sum, step), preferred]
         )
-    return rows, flip_step, preferred.value
+    return flip_step, preferred
 
 
-def _egreedy_rows(config: RunConfig) -> tuple[list[list[str]], Optional[int], str]:
+def _egreedy_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
     result = epsilon_greedy_run(config)
-    rows = []
     flip_step = None
     previous = None
     for pull in result.trace:
         if previous is Arm.BLUE and pull.preferred is Arm.RED and flip_step is None:
             flip_step = pull.step
         previous = pull.preferred
-        rows.append(
+        writer.writerow(
             [
                 str(pull.step),
                 pull.arm.value,
@@ -202,22 +233,16 @@ def _egreedy_rows(config: RunConfig) -> tuple[list[list[str]], Optional[int], st
                 pull.preferred.value,
             ]
         )
-    return rows, flip_step, result.final_greedy.value
+    return flip_step, result.final_greedy.value
 
 
 def _cmd_bandit(args: argparse.Namespace) -> int:
     config = _bandit_config(args)
-    if config.mode == MODE_SCRIPTED:
-        rows, flip_step, final_preference = _scripted_rows(config)
-    else:
-        rows, flip_step, final_preference = _egreedy_rows(config)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise OutputError(f"cannot write {args.out}: {exc}") from exc
+    write_rows = _scripted_rows if config.mode == MODE_SCRIPTED else _egreedy_rows
+    with _atomic_output(args.out) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        flip_step, final_preference = write_rows(config, writer)
     summary = {
         "scheme": config.scheme.text(),
         "mode": config.mode,

@@ -1,8 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+
+import narch.cli
+from narch.bandit import scripted_eval
 from narch.laurent import ZERO, parse, scalar_mul
+
+from .conftest import REPO_ROOT
 
 
 def read_csv(path):
@@ -202,6 +212,100 @@ class TestBandit:
             "--steps", "5", "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv"),
         )
         assert result.returncode == 3
+
+
+SCRIPTED_ARGV = ["bandit", "--scheme", "approx:10", "--mode", "scripted", "--steps", "100"]
+
+
+def _failing_scripted_eval(n, scheme):
+    rows = scripted_eval(n, scheme)
+    for _ in range(50):
+        yield next(rows)
+    raise RuntimeError("row source failed mid-stream")
+
+
+class TestAtomicOutput:
+    def test_missing_directory_leaves_no_file(self, narch_cli, tmp_path):
+        out = tmp_path / "missing" / "trace.csv"
+        assert narch_cli(*SCRIPTED_ARGV, "--out", str(out)).returncode == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parent_is_a_file_exits_3(self, narch_cli, tmp_path):
+        parent = tmp_path / "plain.txt"
+        parent.write_bytes(b"")
+        result = narch_cli(*SCRIPTED_ARGV, "--out", str(parent / "trace.csv"))
+        assert result.returncode == 3
+        assert list(tmp_path.iterdir()) == [parent]
+
+    def test_failed_replace_removes_temp_file(self, narch_cli, tmp_path):
+        # the rows are written, then replacing a directory with the file fails
+        target = tmp_path / "trace.csv"
+        target.mkdir()
+        result = narch_cli(*SCRIPTED_ARGV, "--out", str(target))
+        assert result.returncode == 3
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
+
+    def test_failure_mid_stream_leaves_no_file(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(narch.cli, "scripted_eval", _failing_scripted_eval)
+        with contextlib.redirect_stdout(io.StringIO()) as captured:
+            with pytest.raises(RuntimeError):
+                narch.cli.main([*SCRIPTED_ARGV, "--out", str(tmp_path / "trace.csv")])
+        assert captured.getvalue() == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_existing_file(self, monkeypatch, tmp_path):
+        out = tmp_path / "trace.csv"
+        out.write_bytes(b"previous run\n")
+        monkeypatch.setattr(narch.cli, "scripted_eval", _failing_scripted_eval)
+        with contextlib.redirect_stdout(io.StringIO()):
+            with pytest.raises(RuntimeError):
+                narch.cli.main([*SCRIPTED_ARGV, "--out", str(out)])
+        assert out.read_bytes() == b"previous run\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_success_replaces_existing_file(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        out.write_bytes(b"previous run\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert narch.cli.main([*SCRIPTED_ARGV, "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 101
+        assert list(tmp_path.iterdir()) == [out]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "override",
+        [{"steps": 2.7}, {"steps": True}, {"steps": "100"}, {"seed": 3.9}, {"seed": False}],
+        ids=["steps-float", "steps-bool", "steps-string", "seed-float", "seed-bool"],
+    )
+    def test_non_integer_values_exit_2(self, narch_cli, tmp_path, override):
+        config = {"scheme": "approx:1000", "mode": "scripted", "steps": 100, "seed": 0}
+        config.update(override)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        result = narch_cli("bandit", "--config", str(path), "--out", str(out))
+        assert result.returncode == 2
+        assert "must be an integer" in result.stderr
+        assert not out.exists()
+
+
+class TestScripts:
+    def test_delayed_gratification_script(self):
+        script = REPO_ROOT / "scripts" / "delayed_gratification.py"
+        result = subprocess.run(
+            [sys.executable, str(script), "--rounds", "20000"],
+            capture_output=True, text=True, cwd=REPO_ROOT,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert any(
+            line.startswith("approx:1000")
+            and "14001" in line
+            and line.endswith("(confirmed by scripted scan)")
+            for line in lines
+        )
 
 
 class TestUsageErrors:

@@ -1,0 +1,85 @@
+"""Golden traces: pinned sha256 of the CSV bytes and the summary stdout.
+
+The hashes were taken from the step-by-step implementation of the bandit
+run. Any change to how rows are computed or written must keep these
+bytes identical.
+"""
+
+import hashlib
+
+import pytest
+
+SCRIPTED = ["--mode", "scripted"]
+EGREEDY = ["--mode", "egreedy", "--steps", "2000", "--epsilon", "1/10"]
+
+GOLDEN = [
+    (
+        ["--scheme", "laurent", *SCRIPTED, "--steps", "20000"],
+        "c32bb0e1aec27e0aabec8a281e07d04b2911bd75fdbb377d989b7b064ae60a67",
+        "ca468e406647d445253cf07ec19826ad4d9f459c5f995ff696456b7cfa5fd401",
+    ),
+    (
+        # crossover_step(1000) = 14001 lies inside the run
+        ["--scheme", "approx:1000", *SCRIPTED, "--steps", "20000"],
+        "8a369df32c2220ba6c2beb4465c1b96af437bd4775e0d988697468c22f57ce84",
+        "740ee1baa35863197660e0226bad80cb696e77006f31fe75d5e6b7558aed65ce",
+    ),
+    (
+        ["--scheme", "dynamic:1000", *SCRIPTED, "--steps", "20000"],
+        "bd85ea735f3eab7f89628bb3acf282e3a73b2a60618613d33525a814264d1c78",
+        "9c9621b9372c4e01a99f4655b7c0744c8d0fb15e40f51271e4277820b12d6770",
+    ),
+    (
+        ["--scheme", "approx:7/3", *SCRIPTED, "--steps", "300"],
+        "a1d6b4af13606990bae8804024544b2cd23c3b58d4f27ab6449ec67428315f56",
+        "b16d623500f70d8f119b05249bc7834dc5410328f3d6cb17d3d8c8d72aaec230",
+    ),
+    (
+        ["--scheme", "dynamic:7/3", *SCRIPTED, "--steps", "300"],
+        "e5b0718b389ae05e7ae7031d8dc03ed142a3718ecb899c4f71320ac6f2eef78c",
+        "3f0e0ca63f4d67a4a9ecbab8b0f1469cd32a5decfdd8f0bd58b3cd83d0d43bc1",
+    ),
+    (
+        # M = 1/2 flips at the first round
+        ["--scheme", "approx:1/2", *SCRIPTED, "--steps", "300"],
+        "935f2ab64485fb1c7643d9b9ff431e937e92adfb867c8ad1f2f09881b69e6e17",
+        "3cf69c3377dd636dad047e992533262e651a2592d8f5f0352cd04b7c6a13254c",
+    ),
+    (
+        ["--scheme", "laurent", *EGREEDY, "--seed", "7"],
+        "072b3b337466a8c9bafebfed51c5674a61a23de75430d0941ec33cfbf0a96a81",
+        "ac365fa9d9ab852a919f583d185f13849f01dbaaf87290be3994cbe18f7a866e",
+    ),
+    (
+        ["--scheme", "laurent", *EGREEDY, "--seed", "20260809"],
+        "78eac6b6cdc46e899805f1fd4337242d2192f05cd5383c66bad0c2f74affc69c",
+        "ac365fa9d9ab852a919f583d185f13849f01dbaaf87290be3994cbe18f7a866e",
+    ),
+    (
+        ["--scheme", "approx:50", *EGREEDY, "--seed", "7"],
+        "b880122ab08861c77e811f99359706c5422fba3c8d6da51e5ef732bf591cd7e1",
+        "0971eb04208d7687e77c7689c9a0304ba0435fcec5c65600bd32e27f593f1b5c",
+    ),
+    (
+        ["--scheme", "approx:50", *EGREEDY, "--seed", "20260809"],
+        "84002bd70efc6a348004e3973b43382148a416ccf4ce4c646f98248e464df550",
+        "74edd0efd4d6e50b960cd5b0d38a5bafe47d08e81a6aff6dfabfc91faa9a88ca",
+    ),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, csv_sha256, summary_sha256",
+    GOLDEN,
+    ids=[" ".join(argv[1:2] + argv[3:4] + argv[-1:]) for argv, _, _ in GOLDEN],
+)
+def test_golden_trace(narch_cli, tmp_path, argv, csv_sha256, summary_sha256):
+    out = tmp_path / "trace.csv"
+    result = narch_cli("bandit", *argv, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert _sha256(out.read_bytes()) == csv_sha256
+    assert _sha256(result.stdout.encode()) == summary_sha256

@@ -1,0 +1,93 @@
+"""The closed-form scripted run against the step-by-step reference."""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from narch import cli
+from narch.bandit import (
+    RewardScheme,
+    crossover_step,
+    exact_mean,
+    mean_text,
+    reward_text,
+    scripted_eval,
+)
+from narch.laurent import LaurentSeries
+
+from .reference_bandit import stepwise_scripted_eval
+from .strategies import series
+
+APPROX = [Fraction(1000), Fraction(7, 2), Fraction(7, 3), Fraction(1, 2)]
+SCHEMES = [RewardScheme.exact_laurent()] + [
+    make(m)
+    for make in (RewardScheme.static_approx, RewardScheme.dynamic_approx)
+    for m in APPROX
+]
+
+
+def _value_types(value):
+    if isinstance(value, LaurentSeries):
+        return [type(value)] + [(type(e), type(c)) for e, c in value.terms]
+    return [type(value)]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.text() for s in SCHEMES])
+def test_every_round_matches_stepwise_reference(scheme):
+    n = 5000
+    closed = list(scripted_eval(n, scheme))
+    reference = list(stepwise_scripted_eval(n, scheme))
+    assert len(closed) == len(reference) == n
+    for got, want in zip(closed, reference):
+        assert got == want
+        for got_field, want_field in zip(got, want):
+            assert _value_types(got_field) == _value_types(want_field)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025])
+def test_band_edges_match_reference(n):
+    for scheme in SCHEMES:
+        assert list(scripted_eval(n, scheme)) == list(stepwise_scripted_eval(n, scheme))
+
+
+def _cli_summary(tmp_path, scheme: str, steps: int) -> dict:
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = cli.main([
+            "bandit", "--scheme", scheme, "--mode", "scripted",
+            "--steps", str(steps), "--out", str(tmp_path / "trace.csv"),
+        ])
+    assert code == 0
+    return json.loads(captured.getvalue())
+
+
+@pytest.mark.parametrize("m", APPROX, ids=[str(m) for m in APPROX])
+def test_cli_flip_step_is_crossover_step(tmp_path, m):
+    flip = crossover_step(m)
+    summary = _cli_summary(tmp_path, f"approx:{m}", flip + 5)
+    assert summary["flip_step"] == flip
+    assert summary["final_preference"] == "red"
+
+
+class TestMeanText:
+    @given(st.fractions(max_denominator=50), st.integers(1, 10_000))
+    def test_rational_matches_exact_mean(self, total, count):
+        assert mean_text(total, count) == reward_text(exact_mean(total, count))
+
+    @given(series(), st.integers(1, 500))
+    def test_series_matches_exact_mean(self, total, count):
+        assert mean_text(total, count) == reward_text(exact_mean(total, count))
+
+    def test_examples(self):
+        assert mean_text(Fraction(3000), 4) == "750"
+        assert mean_text(Fraction(7, 3), 2) == "7/6"
+        assert mean_text(LaurentSeries(((-1, Fraction(3)),)), 6) == "1/2 eps^-1"
+
+    def test_rejects_zero_count(self):
+        with pytest.raises(ValueError):
+            mean_text(Fraction(1), 0)
