@@ -281,7 +281,6 @@ class RunConfig:
     steps: int
     epsilon: Fraction = Fraction(0)
     seed: int = 0
-    discount: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -296,11 +295,6 @@ class RunConfig:
             raise TypeError("seed must be an integer")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.discount is not None:
-            discount = as_rational(self.discount)
-            if not Fraction(0) < discount < Fraction(1):
-                raise ValueError("discount must lie strictly between 0 and 1")
-            object.__setattr__(self, "discount", discount)
 
 
 class PullRow(NamedTuple):

@@ -153,14 +153,20 @@ def _cmd_measure_plateau(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_BANDIT_OPTIONS = ("scheme", "mode", "steps", "epsilon", "seed")
+
+
 def _bandit_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config is not None:
         obj = _load_json_file(args.config)
         if not isinstance(obj, dict):
             raise InputError("bandit config JSON must be an object")
+        for key in obj:
+            if key not in _BANDIT_OPTIONS:
+                raise InputError(f"unknown bandit config key {json.dumps(key)}")
         values.update(obj)
-    for key in ("scheme", "mode", "steps", "epsilon", "seed", "discount"):
+    for key in _BANDIT_OPTIONS:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -180,7 +186,6 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
         steps=values["steps"],
         epsilon=as_rational(values.get("epsilon", 0)),
         seed=values.get("seed", 0),
-        discount=None if values.get("discount") is None else as_rational(values["discount"]),
     )
 
 
@@ -303,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bandit.add_argument("--steps", type=int, default=None)
     p_bandit.add_argument("--epsilon", default=None, help="exploration probability (rational)")
     p_bandit.add_argument("--seed", type=int, default=None, help="64-bit generator seed")
-    p_bandit.add_argument("--discount", default=None, help="optional discount in (0, 1)")
     p_bandit.add_argument("--config", default=None, help="JSON file providing the options above")
     p_bandit.add_argument("--out", required=True, help="trace CSV output path")
     p_bandit.set_defaults(handler=_cmd_bandit)

@@ -11,6 +11,7 @@ prefix; bounded monotone measurements instead plateau, which
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -97,19 +98,15 @@ def chain_prefix_structure(chain_len: int) -> FiniteSigStructure:
 def min_feasible_top(n: int, r: ThresholdLike) -> Fraction:
     """Minimum of f(y) - f(x0) over accurate measurements of x0 << ... << x_n << y.
 
-    Computed by forward constraint propagation: each chain constraint
-    forces f(x_{i+1}) >= f(x_i) + r and the top constraint forces
-    f(y) >= f(x_n) + r, all tight at the minimum. The result is (n+1) * r,
-    unbounded in n, which is why no single real-valued assignment measures
-    the infinite chain.
+    Each chain constraint forces f(x_{i+1}) >= f(x_i) + r and the top
+    constraint forces f(y) >= f(x_n) + r, all tight at the minimum, so the
+    n + 1 gaps sum to (n+1) * r: unbounded in n, which is why no single
+    real-valued assignment measures the infinite chain.
     """
     if n < 0:
         raise ValueError("chain index must be non-negative")
-    gap = _threshold(r)
-    level = Fraction(0)
-    for _ in range(n):
-        level += gap
-    return level + gap
+    # operator.index rejects a float n, so the result stays exact
+    return (operator.index(n) + 1) * _threshold(r)
 
 
 def diminishing_returns_index(

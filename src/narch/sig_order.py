@@ -156,14 +156,19 @@ class SigPrimeCertificate:
 class SigPrimeDecision:
     """Outcome of :func:`decide_affine_sig_prime`.
 
-    ``violation_index`` is the smallest failing i when rejected. Past
-    ``stabilization_index`` both certificate conditions keep a constant
-    truth value, so the finite prefix scan decides all infinitely many i.
+    ``violation_index`` is the smallest failing i when rejected, and
+    ``failed_condition`` names the condition that fails there: ``"climb"``
+    (x_i is not significantly below x_{i+1}) or ``"ceiling"`` (x_i is not
+    significantly below ``upper``), ``"climb"`` when both fail; both are
+    None when accepted. Past ``stabilization_index`` both certificate
+    conditions keep a constant truth value, so deciding i up to that index
+    decides all infinitely many i.
     """
 
     accepted: bool
     violation_index: Optional[int]
     stabilization_index: int
+    failed_condition: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -199,16 +204,60 @@ def _stabilization_index(chain: AffineChain, upper: LaurentSeries, gap: Fraction
     return bound
 
 
+def _candidate_indices(
+    chain: AffineChain, upper: LaurentSeries, gap: Fraction, stabilization: int
+) -> list[int]:
+    """Ascending indices in [0, stabilization] that contain the first failure.
+
+    Let e0 be the smallest exponent of base or step and c(i) = b + i * s
+    the coefficient of ``x_i`` there. Wherever c(i) and c(i+1) are both
+    nonzero, ``x_i`` and ``x_{i+1}`` have order e0 with leading
+    coefficients c(i) and c(i+1), so the climb condition is the constant
+    test s >= gap, and the ceiling condition against ``upper`` (order u,
+    leading coefficient lam) is the constant lam > 0 when e0 > u, the sign
+    test c(i) < 0 when e0 < u (this includes a zero ``upper``), and the
+    threshold c(i) <= lam - gap when e0 == u. Away from the root
+    rho = -b/s the failing indices are therefore all of them, none, or
+    (climb holding forces s > 0) every i above rho or above the crossing
+    tau = (lam - gap - b)/s. The only other indices are rho - 1 and rho
+    when rho is an integer, where ``x_{i+1}`` or ``x_i`` drops order or
+    vanishes. So the first failure is among {0, 1, 2}, a window around
+    rho, or a window around tau, shifted by up to two to step over
+    rho - 1 and rho.
+    """
+    candidates = {0, 1, 2}
+    leading = [terms[0][0] for terms in (chain.base.terms, chain.step.terms) if terms]
+    if leading:
+        lowest = min(leading)
+        slope = chain.step.coefficient(lowest)
+        if slope != 0:
+            intercept = chain.base.coefficient(lowest)
+            root = math.floor(-intercept / slope)
+            candidates.update(range(root - 1, root + 3))
+            if upper.order() == lowest:
+                crossing = math.floor((upper.leading_coeff() - gap - intercept) / slope)
+                candidates.update(range(crossing - 1, crossing + 4))
+    return sorted(i for i in candidates if 0 <= i <= stabilization)
+
+
 def decide_affine_sig_prime(
     cert: SigPrimeCertificate, r: ThresholdLike
 ) -> SigPrimeDecision:
     """Decide whether the affine-chain certificate is valid for every i >= 0.
 
-    Scans i = 0 .. stabilization index, checking that ``x_i`` is
-    significantly below both ``x_{i+1}`` and ``upper``. Beyond that index
-    both conditions are constant, and a constant condition that held at the
-    index keeps holding, so a clean prefix accepts the whole infinite
-    chain. Rejections report the smallest violating i.
+    Beyond the stabilization index both conditions (``x_i`` significantly
+    below ``x_{i+1}`` and below ``upper``) are constant, and a constant
+    condition that held at the index keeps holding, so the smallest
+    failing i up to that index, if any, decides the whole infinite chain.
+    That i is found without scanning: :func:`_candidate_indices` gives
+    O(1) breakpoint indices that must contain it, and each candidate, in
+    ascending order, is tested with the true conditions on the real chain
+    elements. The first that fails is the answer, since every smaller
+    candidate was tested and passed; if none fails, no index fails.
+    Candidates beyond the necessary ones cannot change the result, because
+    none of them is judged by anything but the exact predicate.
+    Rejections report the smallest violating i and the condition that
+    failed there.
 
     Raises ValueError when the chain does not start at ``lower``.
     """
@@ -216,14 +265,15 @@ def decide_affine_sig_prime(
     if cert.chain.base != cert.lower:
         raise ValueError("certificate chain must start at its lower element")
     stabilization = _stabilization_index(cert.chain, cert.upper, gap)
-    current = cert.chain.base
-    for i in range(stabilization + 1):
+    previous, successor = None, None
+    for i in _candidate_indices(cert.chain, cert.upper, gap, stabilization):
+        current = successor if previous == i - 1 else cert.chain.element(i)
         successor = cert.chain.element(i + 1)
-        if not sig_less_laurent(current, successor, gap) or not sig_less_laurent(
-            current, cert.upper, gap
-        ):
-            return SigPrimeDecision(False, i, stabilization)
-        current = successor
+        previous = i
+        if not sig_less_laurent(current, successor, gap):
+            return SigPrimeDecision(False, i, stabilization, "climb")
+        if not sig_less_laurent(current, cert.upper, gap):
+            return SigPrimeDecision(False, i, stabilization, "ceiling")
     return SigPrimeDecision(True, None, stabilization)
 
 

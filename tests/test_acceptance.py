@@ -48,7 +48,12 @@ from narch.sig_order import (
     verify_nonarch_prefix,
 )
 
-from .sampling import random_certificate, random_series, random_threshold
+from .sampling import (
+    brute_force_violation,
+    random_certificate,
+    random_series,
+    random_threshold,
+)
 
 
 @contextmanager
@@ -87,16 +92,6 @@ def test_criterion_2_trapped_chain_witness():
             assert all(sig_less_laurent(x, y, r) for x in chain)
             assert not any(sig_less_laurent(y, x, r) for x in chain)
         assert time.perf_counter() - start < 1.0
-
-
-def brute_force_violation(cert, r, limit):
-    x = cert.chain.base
-    for i in range(limit + 1):
-        successor = add(x, cert.chain.step)
-        if not sig_less_laurent(x, successor, r) or not sig_less_laurent(x, cert.upper, r):
-            return i
-        x = successor
-    return None
 
 
 def test_criterion_3_affine_certificates_and_claims():

@@ -242,8 +242,6 @@ class TestEpsilonGreedy:
             RunConfig(scheme=LAURENT, mode="egreedy", steps=1, epsilon=Fraction(3, 2))
         with pytest.raises(ValueError):
             RunConfig(scheme=LAURENT, mode="egreedy", steps=1, seed=-1)
-        with pytest.raises(ValueError):
-            RunConfig(scheme=LAURENT, mode="egreedy", steps=1, discount=Fraction(1))
 
 
 class TestDiscountedReturn:

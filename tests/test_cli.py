@@ -291,6 +291,27 @@ class TestConfigTypes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key", ["discount", "stpes"])
+    def test_unknown_key_exits_2(self, narch_cli, tmp_path, key):
+        config = {"scheme": "approx:1000", "mode": "scripted", "steps": 100, key: "1/2"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        result = narch_cli("bandit", "--config", str(path), "--out", str(out))
+        assert result.returncode == 2
+        assert f'unknown bandit config key "{key}"' in result.stderr
+        assert not out.exists()
+
+    def test_discount_flag_removed(self, narch_cli, tmp_path):
+        out = tmp_path / "trace.csv"
+        result = narch_cli(
+            "bandit", "--scheme", "laurent", "--mode", "scripted", "--steps", "5",
+            "--discount", "1/2", "--out", str(out),
+        )
+        assert result.returncode == 2
+        assert not out.exists()
+
+
 class TestScripts:
     def test_delayed_gratification_script(self):
         script = REPO_ROOT / "scripts" / "delayed_gratification.py"
@@ -306,6 +327,15 @@ class TestScripts:
             and line.endswith("(confirmed by scripted scan)")
             for line in lines
         )
+
+    def test_measurement_growth_script(self):
+        script = REPO_ROOT / "scripts" / "measurement_growth.py"
+        result = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, cwd=REPO_ROOT
+        )
+        assert result.returncode == 0, result.stderr
+        assert "chain index  4096: 4097\n" in result.stdout
+        assert "plateaus at index 6 " in result.stdout
 
 
 class TestUsageErrors:

@@ -9,6 +9,7 @@ from narch.laurent import Ordering, ZERO, add, compare, monomial, parse
 from narch.sig_order import (
     AffineChain,
     SigPrimeCertificate,
+    SigPrimeDecision,
     SigThreshold,
     certificate_from_json,
     certificate_to_json,
@@ -22,19 +23,13 @@ from narch.sig_order import (
     verify_nonarch_prefix,
 )
 
-from .sampling import random_certificate
+from .sampling import (
+    breakpoint_certificate,
+    brute_force_violation,
+    random_certificate,
+    random_threshold,
+)
 from .strategies import rationals, series, thresholds
-
-
-def brute_force_violation(cert, r, limit):
-    """First i <= limit violating either condition, stepping by repeated addition."""
-    x = cert.chain.base
-    for i in range(limit + 1):
-        successor = add(x, cert.chain.step)
-        if not sig_less_laurent(x, successor, r) or not sig_less_laurent(x, cert.upper, r):
-            return i
-        x = successor
-    return None
 
 
 class TestThreshold:
@@ -195,6 +190,56 @@ class TestDecideAffine:
         assert not decision.accepted
         assert decision.violation_index == brute_force_violation(cert, Fraction(1), decision.stabilization_index + 100)
 
+    def test_failed_condition_climb(self):
+        # x_0 = 1 and x_1 = 1 + eps share order and leading coefficient
+        cert = SigPrimeCertificate(
+            lower=monomial(1, 0),
+            upper=monomial(2, 0),
+            chain=AffineChain(monomial(1, 0), monomial(1, 1)),
+        )
+        decision = decide_affine_sig_prime(cert, 1)
+        assert (decision.violation_index, decision.failed_condition) == (0, "climb")
+
+    def test_failed_condition_ceiling(self):
+        cert = SigPrimeCertificate(
+            lower=ZERO,
+            upper=monomial(5, 0),
+            chain=AffineChain(ZERO, monomial(1, 0)),
+        )
+        decision = decide_affine_sig_prime(cert, 1)
+        assert (decision.violation_index, decision.failed_condition) == (5, "ceiling")
+
+    def test_failed_condition_climb_takes_precedence(self):
+        # a constant chain at the ceiling fails both conditions at i = 0
+        cert = SigPrimeCertificate(
+            lower=monomial(1, 0),
+            upper=monomial(1, 0),
+            chain=AffineChain(monomial(1, 0), ZERO),
+        )
+        chain = cert.chain
+        assert not sig_less_laurent(chain.element(0), chain.element(1), 1)
+        assert not sig_less_laurent(chain.element(0), cert.upper, 1)
+        decision = decide_affine_sig_prime(cert, 1)
+        assert (decision.violation_index, decision.failed_condition) == (0, "climb")
+
+    def test_failed_condition_none_when_accepted(self):
+        cert = SigPrimeCertificate(
+            lower=ZERO,
+            upper=monomial(1, -1),
+            chain=AffineChain(ZERO, monomial(1, 0)),
+        )
+        decision = decide_affine_sig_prime(cert, 1)
+        assert decision.accepted and bool(decision)
+        assert decision.failed_condition is None
+        assert decision == SigPrimeDecision(True, None, decision.stabilization_index)
+
+    def test_zero_base_and_step(self):
+        cert = SigPrimeCertificate(
+            lower=ZERO, upper=monomial(1, 0), chain=AffineChain(ZERO, ZERO)
+        )
+        decision = decide_affine_sig_prime(cert, 1)
+        assert (decision.violation_index, decision.failed_condition) == (0, "climb")
+
     def test_mismatched_base_rejected(self):
         cert = SigPrimeCertificate(
             lower=monomial(1, 1),
@@ -215,6 +260,35 @@ class TestDecideAffine:
             assert oracle is None
         else:
             assert oracle == decision.violation_index
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), thresholds())
+    def test_agrees_with_brute_force_at_breakpoints(self, seed, r):
+        cert = breakpoint_certificate(Random(seed), r)
+        decision = decide_affine_sig_prime(cert, r)
+        oracle = brute_force_violation(cert, r, decision.stabilization_index + 100)
+        assert decision.violation_index == oracle
+        assert decision.accepted == (oracle is None)
+
+    def test_breakpoint_sweep_agrees_with_brute_force(self):
+        # certificates whose leading coefficient vanishes at a small integer
+        # index, with ceilings crossing near it: the indices the decision
+        # must not skip
+        rnd = Random(0xB2EA)
+        conditions = {None: 0, "climb": 0, "ceiling": 0}
+        for _ in range(10000):
+            r = random_threshold(rnd)
+            cert = breakpoint_certificate(rnd, r)
+            decision = decide_affine_sig_prime(cert, r)
+            oracle = brute_force_violation(cert, r, decision.stabilization_index + 100)
+            assert decision.violation_index == oracle
+            conditions[decision.failed_condition] += 1
+            if oracle is not None:
+                current = cert.chain.element(oracle)
+                climbs = sig_less_laurent(current, cert.chain.element(oracle + 1), r)
+                expected = "ceiling" if climbs else "climb"
+                assert decision.failed_condition == expected
+        assert min(conditions.values()) > 200
 
     @settings(deadline=None)
     @given(st.integers(0, 2**32 - 1), thresholds())
