@@ -63,12 +63,14 @@ from .bandit import (
     EnvState,
     EpsilonGreedyResult,
     PullRow,
+    PullState,
     RewardScheme,
     RunConfig,
     ScriptedRound,
     crossover_step,
     discounted_return,
     env_step,
+    epsilon_greedy_pulls,
     epsilon_greedy_run,
     exact_mean,
     is_power_of_two,

@@ -9,7 +9,8 @@ approximates it with a fixed rational M, and the dynamic scheme pays
 
 Every statistic is exact. Sample means are never divided during decision
 making; they are compared by cross-multiplication (:func:`mean_compare`),
-which is defined for both rational and Laurent sums. Under the exact
+which is defined for both rational and Laurent sums, or, against the red
+mean of one unit, as a sum against its count. Under the exact
 scheme the blue mean keeps an infinite component and never falls below the
 red mean; under a static approximation it provably does, at a press count
 computed by :func:`crossover_step`.
@@ -285,6 +286,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.steps, int) or isinstance(self.steps, bool):
+            raise TypeError("steps must be an integer")
         if self.steps < 1:
             raise ValueError("steps must be positive")
         epsilon = as_rational(self.epsilon)
@@ -306,6 +309,21 @@ class PullRow(NamedTuple):
     preferred: Arm
 
 
+class PullState(NamedTuple):
+    """One epsilon-greedy pull and the arm state after it.
+
+    The red arm has been pulled ``step - blue_pulls`` times, always at
+    least once, and pays one unit per pull, so its mean is one unit.
+    """
+
+    step: int
+    arm: Arm
+    reward: RewardValue
+    blue_pulls: int
+    blue_sum: RewardValue
+    preferred: Arm
+
+
 @dataclass(frozen=True)
 class EpsilonGreedyResult:
     config: RunConfig
@@ -317,61 +335,83 @@ class EpsilonGreedyResult:
     trace: tuple[PullRow, ...]
 
 
-def epsilon_greedy_run(config: RunConfig) -> EpsilonGreedyResult:
-    """Deterministic epsilon-greedy run over the two arms.
+def epsilon_greedy_pulls(config: RunConfig) -> Iterator[PullState]:
+    """Deterministic epsilon-greedy run over the two arms, one pull at a time.
 
     Pulls red then blue once, and from then on explores uniformly with
     probability epsilon, otherwise pulls the arm whose exact sample mean
-    wins :func:`mean_compare`; ties (and an unsampled blue arm) defer to
-    red, the lower-indexed arm. All randomness comes from the seeded
-    xorshift64* stream, so equal configs give bit-identical traces.
+    is greater; ties (and an unsampled blue arm) defer to red, the
+    lower-indexed arm. All randomness comes from the seeded xorshift64*
+    stream: one draw per step after the second, and one more for the arm
+    of an exploring step. Equal configs give identical pulls.
+
+    The means are never built. The red mean is one unit, so blue is
+    greedy iff its sum exceeds blue_pulls units, and that sum changes only
+    on the power-of-two presses that pay a jackpot. A Laurent sum then
+    holds an eps^-1 term that outranks every rational, so blue stays
+    greedy once pulled; a rational sum num/den is tested by the integer
+    comparison num > den * blue_pulls. Yields lazily; memory does not
+    depend on the step count.
     """
     if config.mode != MODE_EGREEDY:
         raise ValueError("config.mode must be 'egreedy'")
+
+    def pulls() -> Iterator[PullState]:
+        scheme = config.scheme
+        laurent = scheme.kind == KIND_LAURENT
+        epsilon = config.epsilon
+        rng = Xorshift64Star(config.seed)
+        red, blue = Arm.RED, Arm.BLUE
+        unit, zero = scheme.unit(), scheme.zero()
+        blue_pulls = 0
+        blue_sum = zero
+        preferred = red
+        for step in range(1, config.steps + 1):
+            if step <= 2:
+                arm = red if step == 1 else blue
+            elif rng.bernoulli(epsilon):
+                arm = red if rng.next_bit() == 0 else blue
+            else:
+                arm = preferred
+            if arm is red:
+                reward = unit
+            else:
+                blue_pulls += 1
+                if blue_pulls & (blue_pulls - 1):
+                    reward = zero
+                else:
+                    reward = scheme.jackpot(blue_pulls.bit_length() - 1)
+                    blue_sum = blue_sum + reward
+                # a red pull moves neither the blue mean nor the unit red mean
+                if laurent:
+                    preferred = blue
+                else:
+                    greater = blue_sum.numerator > blue_sum.denominator * blue_pulls
+                    preferred = blue if greater else red
+            yield PullState(step, arm, reward, blue_pulls, blue_sum, preferred)
+
+    return pulls()
+
+
+def epsilon_greedy_run(config: RunConfig) -> EpsilonGreedyResult:
+    """The whole run of :func:`epsilon_greedy_pulls`, with exact means per pull."""
     scheme = config.scheme
-    rng = Xorshift64Star(config.seed)
-    state = EnvState()
-    sums: dict[Arm, RewardValue] = {Arm.RED: scheme.zero(), Arm.BLUE: scheme.zero()}
-    counts = {Arm.RED: 0, Arm.BLUE: 0}
-
-    def greedy_arm() -> Arm:
-        if counts[Arm.RED] == 0 or counts[Arm.BLUE] == 0:
-            return Arm.RED
-        ordering = mean_compare(
-            sums[Arm.BLUE], counts[Arm.BLUE], sums[Arm.RED], counts[Arm.RED]
-        )
-        return Arm.BLUE if ordering is Ordering.GREATER else Arm.RED
-
+    red_mean = scheme.unit()
+    blue_mean = None
+    blue_pulls, blue_sum, preferred = 0, scheme.zero(), Arm.RED
     rows = []
-    for step in range(1, config.steps + 1):
-        if step == 1:
-            arm = Arm.RED
-        elif step == 2:
-            arm = Arm.BLUE
-        elif rng.bernoulli(config.epsilon):
-            arm = Arm.RED if rng.next_bit() == 0 else Arm.BLUE
-        else:
-            arm = greedy_arm()
-        state, reward = env_step(state, arm, scheme)
-        counts[arm] += 1
-        sums[arm] = sums[arm] + reward
-        rows.append(
-            PullRow(
-                step,
-                arm,
-                reward,
-                exact_mean(sums[Arm.RED], counts[Arm.RED]) if counts[Arm.RED] else None,
-                exact_mean(sums[Arm.BLUE], counts[Arm.BLUE]) if counts[Arm.BLUE] else None,
-                greedy_arm(),
-            )
-        )
+    for step, arm, reward, blue_pulls, blue_sum, preferred in epsilon_greedy_pulls(config):
+        if arm is Arm.BLUE:
+            blue_mean = exact_mean(blue_sum, blue_pulls)
+        rows.append(PullRow(step, arm, reward, red_mean, blue_mean, preferred))
+    red_pulls = config.steps - blue_pulls
     return EpsilonGreedyResult(
         config=config,
-        red_pulls=counts[Arm.RED],
-        blue_pulls=counts[Arm.BLUE],
-        red_sum=sums[Arm.RED],
-        blue_sum=sums[Arm.BLUE],
-        final_greedy=greedy_arm(),
+        red_pulls=red_pulls,
+        blue_pulls=blue_pulls,
+        red_sum=red_pulls * red_mean,
+        blue_sum=blue_sum,
+        final_greedy=preferred,
         trace=tuple(rows),
     )
 

@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Any, Iterable, Iterator, Optional, TextIO
 
 from .bandit import (
     Arm,
@@ -23,7 +23,7 @@ from .bandit import (
     MODE_SCRIPTED,
     RewardScheme,
     RunConfig,
-    epsilon_greedy_run,
+    epsilon_greedy_pulls,
     mean_text,
     reward_text,
     scripted_eval,
@@ -89,12 +89,14 @@ def _atomic_output(path: str) -> Iterator[TextIO]:
         raise
 
 
-def _write_text(path: Optional[str], content: str) -> None:
+@contextlib.contextmanager
+def _csv_output(path: Optional[str]) -> Iterator[Any]:
+    """A CSV writer on stdout, or on an atomic output when ``path`` is given."""
     if path is None:
-        sys.stdout.write(content)
+        yield csv.writer(sys.stdout, lineterminator="\n")
         return
     with _atomic_output(path) as handle:
-        handle.write(content)
+        yield csv.writer(handle, lineterminator="\n")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -134,10 +136,11 @@ def _cmd_measure_feasible_top(args: argparse.Namespace) -> int:
     r = as_rational(args.r)
     if args.n_min < 0 or args.n_max < args.n_min:
         raise InputError("need 0 <= n-min <= n-max")
-    lines = ["n,min_top"]
-    for n in range(args.n_min, args.n_max + 1):
-        lines.append(f"{n},{min_feasible_top(n, r)!s}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    min_feasible_top(args.n_min, r)  # rejects a bad r before any row is written
+    with _csv_output(args.out) as writer:
+        writer.writerow(["n", "min_top"])
+        for n in range(args.n_min, args.n_max + 1):
+            writer.writerow([n, min_feasible_top(n, r)])
     return EXIT_OK
 
 
@@ -189,10 +192,6 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _mean_text(value) -> str:
-    return "" if value is None else reward_text(value)
-
-
 def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
     blue, red = Arm.BLUE.value, Arm.RED.value
     greater, less = Ordering.GREATER, Ordering.LESS
@@ -221,31 +220,36 @@ def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
 
 
 def _egreedy_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
-    result = epsilon_greedy_run(config)
+    scheme = config.scheme
+    red, blue = Arm.RED, Arm.BLUE
+    red_cell, blue_cell = red.value, blue.value
+    zero = scheme.zero()
+    unit_cell, zero_cell = reward_text(scheme.unit()), reward_text(zero)
+    # the red arm pays one unit per pull: its mean is one unit in every row
+    red_mean_cell = mean_text(scheme.unit(), 1)
+    blue_mean_cell = ""
     flip_step = None
-    previous = None
-    for pull in result.trace:
-        if previous is Arm.BLUE and pull.preferred is Arm.RED and flip_step is None:
-            flip_step = pull.step
-        previous = pull.preferred
-        writer.writerow(
-            [
-                str(pull.step),
-                pull.arm.value,
-                reward_text(pull.reward),
-                _mean_text(pull.red_mean),
-                _mean_text(pull.blue_mean),
-                pull.preferred.value,
-            ]
-        )
-    return flip_step, result.final_greedy.value
+    previous = preferred = red
+    for step, arm, reward, blue_pulls, blue_sum, preferred in epsilon_greedy_pulls(config):
+        if arm is red:
+            reward_cell = unit_cell
+        else:
+            reward_cell = zero_cell if reward is zero else reward_text(reward)
+            blue_mean_cell = mean_text(blue_sum, blue_pulls)
+        if previous is blue and preferred is red and flip_step is None:
+            flip_step = step
+        previous = preferred
+        writer.writerow([
+            str(step), red_cell if arm is red else blue_cell, reward_cell, red_mean_cell,
+            blue_mean_cell, red_cell if preferred is red else blue_cell,
+        ])
+    return flip_step, preferred.value
 
 
 def _cmd_bandit(args: argparse.Namespace) -> int:
     config = _bandit_config(args)
     write_rows = _scripted_rows if config.mode == MODE_SCRIPTED else _egreedy_rows
-    with _atomic_output(args.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+    with _csv_output(args.out) as writer:
         writer.writerow(CSV_HEADER)
         flip_step, final_preference = write_rows(config, writer)
     summary = {

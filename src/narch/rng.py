@@ -14,8 +14,6 @@ streams for equal seeds.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .laurent import RationalLike, as_rational
 
 _MASK64 = (1 << 64) - 1
@@ -51,6 +49,6 @@ class Xorshift64Star:
         64-bit draw; no floating point is involved.
         """
         p = as_rational(probability)
-        if not Fraction(0) <= p <= Fraction(1):
+        if not 0 <= p.numerator <= p.denominator:
             raise ValueError("probability must lie in [0, 1]")
         return self.next_u64() * p.denominator < p.numerator * (1 << 64)

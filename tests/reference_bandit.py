@@ -1,9 +1,8 @@
-"""Step-by-step reference for the scripted bandit run.
+"""Step-by-step references for the scripted and epsilon-greedy bandit runs.
 
-This simulates every round through the environment: one red and one blue
-press on independent environment copies, the rewards added to running
-sums, and the two sample means compared by cross-multiplication. The
-library computes the same rounds from closed forms; the differential
+These simulate every press through the environment: rewards are added to
+running sums and the sample means are compared by cross-multiplication.
+The library computes the same runs from closed forms; the differential
 tests check the two against each other field for field.
 """
 
@@ -12,11 +11,24 @@ from typing import Iterator
 from narch.bandit import (
     Arm,
     EnvState,
+    EpsilonGreedyResult,
+    PullRow,
     RewardScheme,
+    RunConfig,
     ScriptedRound,
     env_step,
+    exact_mean,
     mean_compare,
 )
+from narch.laurent import LaurentSeries, Ordering
+from narch.rng import Xorshift64Star
+
+
+def value_types(value) -> list:
+    """The type of a value and, for a series, of each exponent and coefficient."""
+    if isinstance(value, LaurentSeries):
+        return [type(value)] + [(type(e), type(c)) for e, c in value.terms]
+    return [type(value)]
 
 
 def stepwise_scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
@@ -34,3 +46,52 @@ def stepwise_scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRou
             step, blue_reward, red_sum, blue_sum,
             mean_compare(blue_sum, step, red_sum, step),
         )
+
+
+def stepwise_epsilon_greedy_run(config: RunConfig) -> EpsilonGreedyResult:
+    scheme = config.scheme
+    rng = Xorshift64Star(config.seed)
+    state = EnvState()
+    sums = {Arm.RED: scheme.zero(), Arm.BLUE: scheme.zero()}
+    counts = {Arm.RED: 0, Arm.BLUE: 0}
+
+    def greedy_arm() -> Arm:
+        if counts[Arm.RED] == 0 or counts[Arm.BLUE] == 0:
+            return Arm.RED
+        ordering = mean_compare(
+            sums[Arm.BLUE], counts[Arm.BLUE], sums[Arm.RED], counts[Arm.RED]
+        )
+        return Arm.BLUE if ordering is Ordering.GREATER else Arm.RED
+
+    rows = []
+    for step in range(1, config.steps + 1):
+        if step == 1:
+            arm = Arm.RED
+        elif step == 2:
+            arm = Arm.BLUE
+        elif rng.bernoulli(config.epsilon):
+            arm = Arm.RED if rng.next_bit() == 0 else Arm.BLUE
+        else:
+            arm = greedy_arm()
+        state, reward = env_step(state, arm, scheme)
+        counts[arm] += 1
+        sums[arm] = sums[arm] + reward
+        rows.append(
+            PullRow(
+                step,
+                arm,
+                reward,
+                exact_mean(sums[Arm.RED], counts[Arm.RED]) if counts[Arm.RED] else None,
+                exact_mean(sums[Arm.BLUE], counts[Arm.BLUE]) if counts[Arm.BLUE] else None,
+                greedy_arm(),
+            )
+        )
+    return EpsilonGreedyResult(
+        config=config,
+        red_pulls=counts[Arm.RED],
+        blue_pulls=counts[Arm.BLUE],
+        red_sum=sums[Arm.RED],
+        blue_sum=sums[Arm.BLUE],
+        final_greedy=greedy_arm(),
+        trace=tuple(rows),
+    )

@@ -243,6 +243,12 @@ class TestEpsilonGreedy:
         with pytest.raises(ValueError):
             RunConfig(scheme=LAURENT, mode="egreedy", steps=1, seed=-1)
 
+    @pytest.mark.parametrize("steps", [True, False, 2.5, 3.0, "3", Fraction(3)], ids=repr)
+    @pytest.mark.parametrize("mode", ["egreedy", "scripted"])
+    def test_steps_must_be_an_integer(self, mode, steps):
+        with pytest.raises(TypeError):
+            RunConfig(scheme=LAURENT, mode=mode, steps=steps)
+
 
 class TestDiscountedReturn:
     def test_empty_list_gives_zero(self):
@@ -307,6 +313,26 @@ class TestXorshift:
         rng = Xorshift64Star(7)
         assert not any(rng.bernoulli(0) for _ in range(50))
         assert all(rng.bernoulli(1) for _ in range(50))
+
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_bernoulli_is_one_integer_comparison(self, p, seed):
+        rng, twin = Xorshift64Star(seed), Xorshift64Star(seed)
+        for _ in range(3):
+            expected = twin.next_u64() * p.denominator < p.numerator * 2**64
+            assert rng.bernoulli(p) is expected
+
+    @pytest.mark.parametrize("p", [Fraction(-1, 2), Fraction(3, 2), -1, 2, "5/4"])
+    def test_bernoulli_rejects_out_of_range(self, p):
+        with pytest.raises(ValueError):
+            Xorshift64Star(7).bernoulli(p)
+
+    @pytest.mark.parametrize("p", [0.5, True, None])
+    def test_bernoulli_rejects_inexact(self, p):
+        with pytest.raises(TypeError):
+            Xorshift64Star(7).bernoulli(p)
 
     def test_seed_bounds(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,17 @@ class TestMeasure:
         )
         assert result.returncode == 0
         assert out.read_text(encoding="utf-8") == "n,min_top\n2,3/2\n3,2\n"
+
+    @pytest.mark.parametrize("r", ["0", "-1/2"])
+    def test_feasible_top_bad_threshold_writes_nothing(self, narch_cli, tmp_path, r):
+        out = tmp_path / "tops.csv"
+        result = narch_cli("measure", "feasible-top", "--n-max", "3", "--r", r)
+        assert (result.returncode, result.stdout) == (2, "")
+        result = narch_cli(
+            "measure", "feasible-top", "--n-max", "3", "--r", r, "--out", str(out)
+        )
+        assert result.returncode == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_plateau_geometric(self, narch_cli, tmp_path):
         path = tmp_path / "seq.txt"
@@ -271,6 +283,37 @@ class TestAtomicOutput:
             assert narch.cli.main([*SCRIPTED_ARGV, "--out", str(out)]) == 0
         assert len(read_csv(out)) == 101
         assert list(tmp_path.iterdir()) == [out]
+
+
+def _peak_traced_bytes(argv) -> int:
+    """Peak Python allocation of one in-process CLI run, in bytes."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert narch.cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    @pytest.mark.parametrize(
+        "argv, steps_flag",
+        [
+            (["bandit", "--scheme", "laurent", "--mode", "egreedy", "--epsilon", "1/10"],
+             "--steps"),
+            (["bandit", "--scheme", "approx:50", "--mode", "egreedy", "--epsilon", "1/10"],
+             "--steps"),
+            (["bandit", "--scheme", "laurent", "--mode", "scripted"], "--steps"),
+            (["measure", "feasible-top", "--r", "7/3"], "--n-max"),
+        ],
+        ids=["egreedy laurent", "egreedy approx", "scripted", "feasible-top"],
+    )
+    def test_peak_does_not_grow_with_rows(self, tmp_path, argv, steps_flag):
+        out = ["--out", str(tmp_path / "out.csv")]
+        small = _peak_traced_bytes([*argv, steps_flag, "2000", *out])
+        large = _peak_traced_bytes([*argv, steps_flag, "50000", *out])
+        assert large - small <= 1 << 20, (small, large)
 
 
 class TestConfigTypes:

@@ -1,7 +1,7 @@
 """Golden traces: pinned sha256 of the CSV bytes and the summary stdout.
 
 The hashes were taken from the step-by-step implementation of the bandit
-run. Any change to how rows are computed or written must keep these
+runs. Any change to how rows are computed or written must keep these
 bytes identical.
 """
 
@@ -65,7 +65,37 @@ GOLDEN = [
         "84002bd70efc6a348004e3973b43382148a416ccf4ce4c646f98248e464df550",
         "74edd0efd4d6e50b960cd5b0d38a5bafe47d08e81a6aff6dfabfc91faa9a88ca",
     ),
+    (
+        ["--scheme", "dynamic:7/3", *EGREEDY, "--seed", "7"],
+        "25cfbf268635dc84cabe12f1eb5df9d4d121d7a412848a53aee4ba1e5e821e44",
+        "6d1f79b3e58ac395901141a091e781006a0a81fd44f44d231b75677e11721d14",
+    ),
+    (
+        # never explores: the greedy choice alone, flipping to red at 451
+        ["--scheme", "approx:50", *EGREEDY[:-1], "0", "--seed", "7"],
+        "7056fca21bdb16ca2e1b9973293525f3ae9100ac25e951c96b06c587c2bb97e5",
+        "297cea10bd39ca69e19fee8cfccdcc274ed40908f46c304443f03fee5a852102",
+    ),
+    (
+        # always explores: two draws in every step after the second
+        ["--scheme", "approx:50", *EGREEDY[:-1], "1", "--seed", "7"],
+        "0d5d97d02f2f4ee30dd368be0c7246be8e0f7755de48a8e7edcceea6e75a36b3",
+        "614db7cb4545f8e48e4939215932c4e2b01b124455e0b54a671fae4f50ef6726",
+    ),
+    (
+        ["--scheme", "laurent", *EGREEDY[:-1], "1", "--seed", "7"],
+        "5d0f8c30343f6777d5b890fe848e8b3975458809e19e5c41f6039f224f6d3715",
+        "ac365fa9d9ab852a919f583d185f13849f01dbaaf87290be3994cbe18f7a866e",
+    ),
 ]
+
+
+def _golden_id(argv: list[str]) -> str:
+    """Scheme, mode and seed, plus the epsilon where it is not 1/10."""
+    parts = argv[1:2] + argv[3:4]
+    if "--epsilon" in argv and argv[argv.index("--epsilon") + 1] != "1/10":
+        parts.append("epsilon " + argv[argv.index("--epsilon") + 1])
+    return " ".join(parts + argv[-1:])
 
 
 def _sha256(data: bytes) -> str:
@@ -75,7 +105,7 @@ def _sha256(data: bytes) -> str:
 @pytest.mark.parametrize(
     "argv, csv_sha256, summary_sha256",
     GOLDEN,
-    ids=[" ".join(argv[1:2] + argv[3:4] + argv[-1:]) for argv, _, _ in GOLDEN],
+    ids=[_golden_id(argv) for argv, _, _ in GOLDEN],
 )
 def test_golden_trace(narch_cli, tmp_path, argv, csv_sha256, summary_sha256):
     out = tmp_path / "trace.csv"

@@ -20,7 +20,7 @@ from narch.bandit import (
 )
 from narch.laurent import LaurentSeries
 
-from .reference_bandit import stepwise_scripted_eval
+from .reference_bandit import stepwise_scripted_eval, value_types
 from .strategies import series
 
 APPROX = [Fraction(1000), Fraction(7, 2), Fraction(7, 3), Fraction(1, 2)]
@@ -29,12 +29,6 @@ SCHEMES = [RewardScheme.exact_laurent()] + [
     for make in (RewardScheme.static_approx, RewardScheme.dynamic_approx)
     for m in APPROX
 ]
-
-
-def _value_types(value):
-    if isinstance(value, LaurentSeries):
-        return [type(value)] + [(type(e), type(c)) for e, c in value.terms]
-    return [type(value)]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.text() for s in SCHEMES])
@@ -46,7 +40,7 @@ def test_every_round_matches_stepwise_reference(scheme):
     for got, want in zip(closed, reference):
         assert got == want
         for got_field, want_field in zip(got, want):
-            assert _value_types(got_field) == _value_types(want_field)
+            assert value_types(got_field) == value_types(want_field)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025])
