@@ -12,6 +12,7 @@ prefix; bounded monotone measurements instead plateau, which
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -22,36 +23,57 @@ from .sig_order import SigThreshold, ThresholdLike, _threshold
 
 @dataclass(frozen=True)
 class FiniteSigStructure:
-    """Finite labelled elements with an explicit significantly-less relation."""
+    """Finite labelled elements with an explicit significantly-less relation.
+
+    Labels are strings. Each relation entry must be a tuple or list of two
+    declared labels; anything else (a bare string such as ``"ab"``, a
+    number) raises ValueError instead of being coerced.
+    """
 
     elements: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(
-            self, "relation", frozenset(tuple(pair) for pair in self.relation)
-        )
-        if len(set(self.elements)) != len(self.elements):
+        if isinstance(self.elements, str):
+            raise ValueError("elements must be a sequence of labels, not one string")
+        elements = tuple(self.elements)
+        for label in elements:
+            if not isinstance(label, str):
+                raise ValueError(f"element label {label!r} is not a string")
+        declared = set(elements)
+        if len(declared) != len(elements):
             raise ValueError("element labels must be unique")
-        declared = set(self.elements)
-        for pair in self.relation:
-            if len(pair) != 2:
-                raise ValueError(f"relation entry {pair!r} is not a pair")
-            if pair[0] not in declared or pair[1] not in declared:
-                raise ValueError(f"relation pair {pair!r} references undeclared elements")
+        # one pass: every entry is shape-checked and resolved as it is stored;
+        # membership in the set of string labels also rules out non-string labels
+        pairs = []
+        for entry in self.relation:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ValueError(f"relation entry {entry!r} is not a pair")
+            x1, x2 = entry
+            if x1 not in declared or x2 not in declared:
+                raise ValueError(f"relation pair {entry!r} references undeclared elements")
+            pairs.append((x1, x2))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "relation", frozenset(pairs))
 
 
 @dataclass(frozen=True)
 class MeasurementAssignment:
-    """Candidate measurement: one exact rational per element, plus the threshold."""
+    """Candidate measurement: one exact rational per element, plus the threshold.
+
+    Labels must be strings: ``{1: 0, "1": 5}`` raises ValueError rather
+    than collapsing to one entry.
+    """
 
     values: Mapping[str, Fraction]
     threshold: SigThreshold
 
     def __post_init__(self) -> None:
+        for label in self.values:
+            if not isinstance(label, str):
+                raise ValueError(f"value label {label!r} is not a string")
         object.__setattr__(
-            self, "values", {str(k): as_rational(v) for k, v in self.values.items()}
+            self, "values", {k: as_rational(v) for k, v in self.values.items()}
         )
         if not isinstance(self.threshold, SigThreshold):
             object.__setattr__(self, "threshold", SigThreshold(self.threshold))
@@ -60,24 +82,39 @@ class MeasurementAssignment:
 def is_accurate_measurement(
     structure: FiniteSigStructure, assignment: MeasurementAssignment
 ) -> bool:
-    """Check the full biconditional over every ordered pair of elements.
+    """Check the full biconditional over every ordered pair, by value ranks.
 
-    Pairs outside the relation matter too: their values must NOT be
-    threshold-separated. Raises ValueError when an element has no value.
+    The assignment is accurate iff the relation R equals the set S of
+    separated ordered pairs, those with ``f(x1) + r <= f(x2)``; pairs
+    outside R matter too. Raises ValueError when an element has no value.
+
+    The elements are sorted by value once, giving ``pos[x]``, and
+    ``first[x] = bisect_left(sorted_values, f(x) + r)``. Every value at or
+    above ``f(x) + r`` sits at or after ``first[x]`` and every smaller one
+    before it, ties included, so ``(x1, x2)`` is in S iff
+    ``pos[x2] >= first[x1]`` and ``|S| = sum(n - first[x])``. A relation
+    pair failing that test is in R but not in S; if all pass, R is a subset
+    of S, and R = S iff ``|R| = |S|``. A self-pair always fails, because
+    r > 0 puts ``first[x]`` after ``pos[x]``. The cost is O(n log n)
+    Fraction work plus O(|R|) integer comparisons, not n^2 Fraction tests.
     """
     values = assignment.values
-    missing = [x for x in structure.elements if x not in values]
+    elements = structure.elements
+    missing = [x for x in elements if x not in values]
     if missing:
         raise ValueError(f"no value assigned to element {missing[0]!r}")
     gap = assignment.threshold.r
     relation = structure.relation
-    # v1 <= v2 - gap, with the shift hoisted out of the quadratic loop
-    shifted = {x: values[x] - gap for x in structure.elements}
-    for x1 in structure.elements:
-        v1 = values[x1]
-        for x2 in structure.elements:
-            if ((x1, x2) in relation) != (v1 <= shifted[x2]):
-                return False
+    ranked = sorted(elements, key=values.__getitem__)
+    ordered = [values[x] for x in ranked]
+    pos = {x: i for i, x in enumerate(ranked)}
+    first = {x: bisect_left(ordered, values[x] + gap) for x in elements}
+    n = len(elements)
+    if sum(n - f for f in first.values()) != len(relation):
+        return False
+    for x1, x2 in relation:
+        if pos[x2] < first[x1]:
+            return False
     return True
 
 
@@ -135,16 +172,12 @@ def structure_from_json(obj: object) -> FiniteSigStructure:
         raise ValueError("structure JSON must have 'elements' and 'relation'")
     elements = obj["elements"]
     relation = obj["relation"]
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+    if not isinstance(elements, list):
         raise ValueError("'elements' must be a list of labels")
     if not isinstance(relation, list):
         raise ValueError("'relation' must be a list of [x1, x2] pairs")
-    pairs = set()
-    for entry in relation:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"bad relation entry {entry!r}")
-        pairs.add((str(entry[0]), str(entry[1])))
-    return FiniteSigStructure(elements=tuple(elements), relation=frozenset(pairs))
+    # the constructor checks every label and entry in its single pass
+    return FiniteSigStructure(elements=tuple(elements), relation=relation)
 
 
 def assignment_from_json(obj: object) -> MeasurementAssignment:
@@ -153,10 +186,7 @@ def assignment_from_json(obj: object) -> MeasurementAssignment:
     values = obj["values"]
     if not isinstance(values, dict):
         raise ValueError("'values' must map labels to rationals")
-    return MeasurementAssignment(
-        values={str(k): as_rational(v) for k, v in values.items()},
-        threshold=SigThreshold(as_rational(obj["r"])),
-    )
+    return MeasurementAssignment(values=values, threshold=SigThreshold(as_rational(obj["r"])))
 
 
 def structure_to_json(structure: FiniteSigStructure) -> dict:

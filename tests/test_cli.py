@@ -12,6 +12,13 @@ import pytest
 import narch.cli
 from narch.bandit import scripted_eval
 from narch.laurent import ZERO, parse, scalar_mul
+from narch.measurement import (
+    MeasurementAssignment,
+    SigThreshold,
+    assignment_to_json,
+    chain_prefix_structure,
+    structure_to_json,
+)
 
 from .conftest import REPO_ROOT
 
@@ -83,6 +90,33 @@ class TestMeasure:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert narch_cli("measure", "check", "--input", str(path)).returncode == 2
+
+    def test_check_rejects_non_string_labels_with_2(self, narch_cli, tmp_path):
+        payload = {
+            "structure": {"elements": ["1", "2"], "relation": [[1, 2]]},
+            "assignment": {"values": {"1": "0", "2": "1"}, "r": "1"},
+        }
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        result = narch_cli("measure", "check", "--input", str(path))
+        assert result.returncode == 2
+        assert "undeclared" in result.stderr
+
+    @pytest.mark.parametrize("lowered, accurate", [(False, True), (True, False)])
+    def test_check_at_benchmark_scale(self, narch_cli, tmp_path, lowered, accurate):
+        structure = chain_prefix_structure(299)
+        assert len(structure.elements) == 300
+        values = {f"x{i}": i for i in range(299)}
+        values["y"] = 299 - (Fraction(1, 10**6) if lowered else 0)
+        payload = {
+            "structure": structure_to_json(structure),
+            "assignment": assignment_to_json(MeasurementAssignment(values, SigThreshold(1))),
+        }
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        result = narch_cli("measure", "check", "--input", str(path))
+        assert result.returncode == 0
+        assert json.loads(result.stdout) == {"accurate": accurate}
 
     def test_check_missing_file_exits_2(self, narch_cli, tmp_path):
         missing = tmp_path / "nope.json"

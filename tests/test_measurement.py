@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,8 @@ from narch.measurement import (
     assignment_to_json,
 )
 
+from .reference_measurement import pairwise_is_accurate_measurement
+
 
 def two_element_structure():
     return FiniteSigStructure(elements=("a", "b"), relation=frozenset({("a", "b")}))
@@ -33,8 +36,39 @@ class TestStructure:
             FiniteSigStructure(elements=("a", "a"), relation=frozenset())
 
     def test_json_round_trip(self):
-        structure = chain_prefix_structure(3)
-        assert structure_from_json(structure_to_json(structure)) == structure
+        for structure in (
+            chain_prefix_structure(3),
+            FiniteSigStructure(elements=("a", "b"), relation=frozenset()),
+            FiniteSigStructure(elements=("a", "b"), relation=frozenset({("a", "a"), ("b", "a")})),
+        ):
+            assert structure_from_json(structure_to_json(structure)) == structure
+
+    def test_json_rejects_non_string_labels_in_pairs(self):
+        with pytest.raises(ValueError):
+            structure_from_json({"elements": ["1", "2"], "relation": [[1, 2]]})
+
+    def test_json_rejects_non_string_elements(self):
+        with pytest.raises(ValueError):
+            structure_from_json({"elements": ["1", 2], "relation": []})
+
+    def test_json_rejects_malformed_entries(self):
+        for entry in (["a"], ["a", "b", "a"], "ab", {"a": "b"}):
+            with pytest.raises(ValueError):
+                structure_from_json({"elements": ["a", "b"], "relation": [entry]})
+
+    def test_rejects_string_as_pair(self):
+        with pytest.raises(ValueError):
+            FiniteSigStructure(elements=("a", "b"), relation=frozenset({"ab"}))
+
+    def test_rejects_string_as_elements(self):
+        with pytest.raises(ValueError):
+            FiniteSigStructure(elements="ab", relation=frozenset())
+
+
+class TestAssignment:
+    def test_rejects_non_string_labels(self):
+        with pytest.raises(ValueError):
+            MeasurementAssignment(values={1: 0, "1": 5}, threshold=SigThreshold(1))
 
 
 class TestAccuracy:
@@ -71,6 +105,82 @@ class TestAccuracy:
         )
         recovered = assignment_from_json(assignment_to_json(assignment))
         assert recovered == assignment
+
+
+def _separated(values, r):
+    return {(x1, x2) for x1 in values for x2 in values if values[x1] + r <= values[x2]}
+
+
+def _check_both(elements, relation, values, r):
+    structure = FiniteSigStructure(elements=tuple(elements), relation=frozenset(relation))
+    assignment = MeasurementAssignment(values=values, threshold=SigThreshold(r))
+    expected = pairwise_is_accurate_measurement(structure, assignment)
+    assert is_accurate_measurement(structure, assignment) == expected
+    return expected
+
+
+class TestRanksAgainstPairwise:
+    """The rank check against the pairwise reference in ``reference_measurement``."""
+
+    @given(
+        st.lists(st.integers(0, 6), min_size=1, max_size=6),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_hypothesis_structures(self, grid, r_steps, data):
+        # values and r on a grid of halves, so ties and exact gaps of r occur
+        labels = [f"v{i}" for i in range(len(grid))]
+        values = {x: Fraction(k, 2) for x, k in zip(labels, grid)}
+        r = Fraction(r_steps, 2)
+        all_pairs = [(x1, x2) for x1 in labels for x2 in labels]
+        relation = _separated(values, r)
+        if data.draw(st.booleans()):
+            relation ^= {data.draw(st.sampled_from(all_pairs))}
+        elif data.draw(st.booleans()):
+            relation = set(data.draw(st.lists(st.sampled_from(all_pairs), unique=True)))
+        _check_both(labels, relation, values, r)
+
+    def test_seeded_sweep(self):
+        rnd = Random(20200224)
+        outcomes = {True: 0, False: 0}
+        seen = {"self_pair": 0, "empty": 0, "tie": 0, "exact_gap": 0}
+        for k in range(5000):
+            n = rnd.randint(1, 7)
+            labels = [f"v{i}" for i in rnd.sample(range(20), n)]
+            r = Fraction(rnd.randint(1, 4), 2)
+            values = {x: Fraction(rnd.randint(0, 10), 2) for x in labels}
+            all_pairs = [(x1, x2) for x1 in labels for x2 in labels]
+            relation = _separated(values, r)
+            if k % 2:
+                relation ^= {rnd.choice(all_pairs)}
+            elif rnd.random() < 0.2:
+                relation = {pair for pair in all_pairs if rnd.random() < 0.3}
+            outcomes[_check_both(labels, relation, values, r)] += 1
+            seen["self_pair"] += any(x1 == x2 for x1, x2 in relation)
+            seen["empty"] += not relation
+            seen["tie"] += len(set(values.values())) < n
+            seen["exact_gap"] += any(values[x1] + r == values[x2] for x1, x2 in all_pairs)
+        assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
+        assert all(count > 100 for count in seen.values()), seen
+
+    def test_chains_with_one_gap_closed(self):
+        rnd = Random(8128)
+        for _ in range(12):
+            chain_len = rnd.randint(49, 119)
+            structure = chain_prefix_structure(chain_len)
+            r = Fraction(rnd.randint(1, 9), rnd.randint(1, 5))
+            labels = [f"x{i}" for i in range(chain_len)] + ["y"]
+            tight = {x: i * r for i, x in enumerate(labels)}
+            # every element above position m moves down, closing that one gap
+            m = rnd.randrange(chain_len)
+            closed = dict(tight)
+            shift = rnd.choice([r, r / 2, r / 10**6])
+            for x in labels[m + 1:]:
+                closed[x] -= shift
+            for values, expected in ((tight, True), (closed, False)):
+                assignment = MeasurementAssignment(values=values, threshold=SigThreshold(r))
+                assert pairwise_is_accurate_measurement(structure, assignment) is expected
+                assert is_accurate_measurement(structure, assignment) is expected
 
 
 class TestMinFeasibleTop:
