@@ -287,7 +287,7 @@ class RunConfig:
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not isinstance(self.steps, int) or isinstance(self.steps, bool):
-            raise TypeError("steps must be an integer")
+            raise TypeError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be positive")
         epsilon = as_rational(self.epsilon)
@@ -295,7 +295,7 @@ class RunConfig:
             raise ValueError("epsilon must lie in [0, 1]")
         object.__setattr__(self, "epsilon", epsilon)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise TypeError("seed must be an integer")
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

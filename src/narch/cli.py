@@ -176,12 +176,6 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
     for key in ("scheme", "mode", "steps"):
         if key not in values:
             raise InputError(f"missing required bandit option '{key}'")
-    for key in ("steps", "seed"):
-        value = values.get(key, 0)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(
-                f"bandit option '{key}' must be an integer, got {json.dumps(value)}"
-            )
     scheme = RewardScheme.parse(str(values["scheme"]))
     return RunConfig(
         scheme=scheme,

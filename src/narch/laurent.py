@@ -95,6 +95,12 @@ PLUS_INFINITY = PlusInfinity()
 OrderValue = Union[int, PlusInfinity]
 
 
+def _exponent(value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"exponent {value!r} is not an integer")
+    return value
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, a string such as ``-3/4``, or a Fraction to a Fraction.
 
@@ -132,8 +138,7 @@ class LaurentSeries:
             if len(pair) != 2:
                 raise ValueError(f"term {pair!r} is not an (exponent, coefficient) pair")
             exponent, coeff = pair
-            if not isinstance(exponent, int) or isinstance(exponent, bool):
-                raise TypeError(f"exponent {exponent!r} is not an integer")
+            _exponent(exponent)
             if not isinstance(coeff, Fraction):
                 raise TypeError(f"coefficient {coeff!r} is not a Fraction")
             if coeff == 0:
@@ -233,31 +238,33 @@ def _raw(terms: tuple[TermPair, ...]) -> LaurentSeries:
     return series
 
 
+def _collect(pairs: Iterable[TermPair]) -> LaurentSeries:
+    # The one coefficient accumulator: every constructor and every product
+    # or sum ends here. Callers pass checked (int, Fraction) pairs.
+    acc: dict[int, Fraction] = {}
+    for exponent, coeff in pairs:
+        if exponent in acc:
+            acc[exponent] += coeff
+        else:
+            acc[exponent] = coeff
+    return _raw(tuple(sorted(item for item in acc.items() if item[1])))
+
+
 def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
     """Build a series from raw (exponent, coefficient) pairs.
 
     Duplicate exponents are summed, zero coefficients dropped, exponents
     sorted ascending.
     """
-    acc: dict[int, Fraction] = {}
-    for exponent, raw in pairs:
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
-            raise TypeError(f"exponent {exponent!r} is not an integer")
-        coeff = acc.get(exponent, Fraction(0)) + as_rational(raw)
-        if coeff == 0:
-            acc.pop(exponent, None)
-        else:
-            acc[exponent] = coeff
-    return _raw(tuple(sorted(acc.items())))
+    return _collect((_exponent(e), as_rational(c)) for e, c in pairs)
 
 
 def monomial(coefficient: RationalLike, exponent: int) -> LaurentSeries:
     """The single-term series ``coefficient * eps^exponent`` (zero if c = 0)."""
+    _exponent(exponent)
     coeff = as_rational(coefficient)
     if coeff == 0:
         return ZERO
-    if not isinstance(exponent, int) or isinstance(exponent, bool):
-        raise TypeError(f"exponent {exponent!r} is not an integer")
     return _raw(((exponent, coeff),))
 
 
@@ -271,14 +278,7 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         return a
     if not a.terms:
         return b
-    acc = dict(a.terms)
-    for exponent, coeff in b.terms:
-        total = acc.get(exponent, Fraction(0)) + coeff
-        if total == 0:
-            acc.pop(exponent, None)
-        else:
-            acc[exponent] = total
-    return _raw(tuple(sorted(acc.items())))
+    return _collect(a.terms + b.terms)
 
 
 def neg(a: LaurentSeries) -> LaurentSeries:
@@ -291,16 +291,7 @@ def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Convolution product over the finite supports."""
-    acc: dict[int, Fraction] = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            exponent = ea + eb
-            total = acc.get(exponent, Fraction(0)) + ca * cb
-            if total == 0:
-                acc.pop(exponent, None)
-            else:
-                acc[exponent] = total
-    return _raw(tuple(sorted(acc.items())))
+    return _collect((ea + eb, ca * cb) for ea, ca in a.terms for eb, cb in b.terms)
 
 
 def scalar_mul(q: RationalLike, a: LaurentSeries) -> LaurentSeries:
@@ -318,34 +309,17 @@ def compare(a: LaurentSeries, b: LaurentSeries) -> Ordering:
     Absent terms count as coefficient 0, so a series whose first surplus
     term is positive is the greater one at that exponent.
     """
-    ta, tb = a.terms, b.terms
-    i = j = 0
-    while i < len(ta) and j < len(tb):
-        ea, ca = ta[i]
-        eb, cb = tb[j]
-        if ea == eb:
-            if ca != cb:
-                return Ordering.LESS if ca < cb else Ordering.GREATER
-            i += 1
-            j += 1
-        elif ea < eb:
-            return Ordering.GREATER if ca > 0 else Ordering.LESS
-        else:
-            return Ordering.LESS if cb > 0 else Ordering.GREATER
-    if i < len(ta):
-        return Ordering.GREATER if ta[i][1] > 0 else Ordering.LESS
-    if j < len(tb):
-        return Ordering.LESS if tb[j][1] > 0 else Ordering.GREATER
-    return Ordering.EQUAL
+    return compare_scaled(a, 1, b, 1)
 
 
 def compare_scaled(a: LaurentSeries, ka: int, b: LaurentSeries, kb: int) -> Ordering:
     """Compare ka * a against kb * b for positive integer scales.
 
-    Equivalent to ``compare(scalar_mul(ka, a), scalar_mul(kb, b))`` but
-    walks the terms directly, cross-multiplying coefficient components as
-    integers, so nothing is allocated. Positive scaling preserves signs,
-    which keeps the surplus-term cases unchanged.
+    The one term-by-term walk; :func:`compare` is scales (1, 1). The
+    result equals comparing ``scalar_mul(ka, a)`` with ``scalar_mul(kb, b)``,
+    but coefficient components are cross-multiplied as integers, so
+    nothing is allocated. Positive scaling preserves signs, which keeps
+    the surplus-term cases unchanged.
     """
     if ka < 1 or kb < 1:
         raise ValueError("scales must be positive")
@@ -393,8 +367,9 @@ def parse(text: str) -> LaurentSeries:
 
     Grammar: ``series := term (("+" | "-") term)*``,
     ``term := rational ["eps^" integer]``,
-    ``rational := ["-"] digits ["/" digits]``; an omitted exponent means
-    ``eps^0``. Raises :class:`SeriesParseError` on malformed input.
+    ``rational := ["-"] digits ["/" digits]``, where digits are ASCII
+    ``0``-``9``; an omitted exponent means ``eps^0``. Raises
+    :class:`SeriesParseError` on malformed input.
     """
     pos = 0
     length = len(text)
@@ -407,7 +382,7 @@ def parse(text: str) -> LaurentSeries:
     def read_digits(what: str) -> int:
         nonlocal pos
         start = pos
-        while pos < length and text[pos].isdigit():
+        while pos < length and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             raise SeriesParseError(f"expected {what}", start)
@@ -453,7 +428,7 @@ def parse(text: str) -> LaurentSeries:
         pos += 1
         pairs.append(read_term(1 if connective == "+" else -1))
         skip_ws()
-    return normalize(pairs)
+    return _collect(pairs)
 
 
 def format_series(a: LaurentSeries) -> str:
@@ -487,4 +462,4 @@ def series_from_json(obj: object) -> LaurentSeries:
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise ValueError(f"bad exponent {exponent!r}")
         pairs.append((exponent, as_rational(coeff)))
-    return normalize(pairs)
+    return _collect(pairs)

@@ -174,70 +174,57 @@ class SigPrimeDecision:
         return self.accepted
 
 
-def _stabilization_index(chain: AffineChain, upper: LaurentSeries, gap: Fraction) -> int:
-    """Smallest index past which both certificate conditions are constant.
+def _breakpoints(
+    chain: AffineChain, upper: LaurentSeries, gap: Fraction
+) -> tuple[int, list[int]]:
+    """The stabilization index and the ascending candidate indices up to it.
 
-    Each coefficient of ``base + i * step`` is affine in i, so it has a
-    fixed nonzero sign once i passes its single root. Past the largest of
-    those roots the chain's support, order, and leading-coefficient sign
-    are all frozen; the climb condition then reduces to the constant test
-    "step's coefficient at the frozen order >= gap", and the only remaining
-    i-dependence in the ceiling condition is the equal-order coefficient
-    comparison, which is monotone in i and flips at one more affine root.
+    Stabilization: past the returned index both certificate conditions
+    are constant. Each coefficient of ``base + i * step`` is affine in i,
+    so it has a fixed nonzero sign once i passes its single root. Past the
+    largest of those roots the chain's support, order, and
+    leading-coefficient sign are all frozen; the climb condition then
+    reduces to the constant test "step's coefficient at the frozen order
+    >= gap", and the only remaining i-dependence in the ceiling condition
+    is the equal-order coefficient comparison, which is monotone in i and
+    flips at one more affine root.
+
+    Candidates: indices in [0, stabilization] that contain the first
+    failure. Let e0 be the smallest exponent of base or step and
+    c(i) = b + i * s the coefficient of ``x_i`` there. Wherever c(i) and
+    c(i+1) are both nonzero, ``x_i`` and ``x_{i+1}`` have order e0 with
+    leading coefficients c(i) and c(i+1), so the climb condition is the
+    constant test s >= gap, and the ceiling condition against ``upper``
+    (order u, leading coefficient lam) is the constant lam > 0 when
+    e0 > u, the sign test c(i) < 0 when e0 < u (this includes a zero
+    ``upper``), and the threshold c(i) <= lam - gap when e0 == u. Away
+    from the root rho = -b/s the failing indices are therefore all of
+    them, none, or (climb holding forces s > 0) every i above rho or above
+    the crossing tau = (lam - gap - b)/s. The only other indices are
+    rho - 1 and rho when rho is an integer, where ``x_{i+1}`` or ``x_i``
+    drops order or vanishes. So the first failure is among {0, 1, 2}, a
+    window around rho, or a window around tau, shifted by up to two to
+    step over rho - 1 and rho.
+
+    Only the exponents of ``step`` have a nonzero slope, and s is nonzero
+    at e0 exactly when step's order is at most base's.
     """
-    exponents = sorted(
-        {e for e, _ in chain.base.terms} | {e for e, _ in chain.step.terms}
-    )
-    bound = 0
-    for exponent in exponents:
-        slope = chain.step.coefficient(exponent)
-        if slope != 0:
-            root = -chain.base.coefficient(exponent) / slope
-            bound = max(bound, math.floor(root) + 1)
-    if exponents:
-        frozen_order = exponents[0]
-        slope = chain.step.coefficient(frozen_order)
-        if slope != 0 and upper.order() == frozen_order:
-            intercept = chain.base.coefficient(frozen_order)
-            root = (upper.leading_coeff() - gap - intercept) / slope
-            bound = max(bound, math.floor(root) + 1)
-    return bound
-
-
-def _candidate_indices(
-    chain: AffineChain, upper: LaurentSeries, gap: Fraction, stabilization: int
-) -> list[int]:
-    """Ascending indices in [0, stabilization] that contain the first failure.
-
-    Let e0 be the smallest exponent of base or step and c(i) = b + i * s
-    the coefficient of ``x_i`` there. Wherever c(i) and c(i+1) are both
-    nonzero, ``x_i`` and ``x_{i+1}`` have order e0 with leading
-    coefficients c(i) and c(i+1), so the climb condition is the constant
-    test s >= gap, and the ceiling condition against ``upper`` (order u,
-    leading coefficient lam) is the constant lam > 0 when e0 > u, the sign
-    test c(i) < 0 when e0 < u (this includes a zero ``upper``), and the
-    threshold c(i) <= lam - gap when e0 == u. Away from the root
-    rho = -b/s the failing indices are therefore all of them, none, or
-    (climb holding forces s > 0) every i above rho or above the crossing
-    tau = (lam - gap - b)/s. The only other indices are rho - 1 and rho
-    when rho is an integer, where ``x_{i+1}`` or ``x_i`` drops order or
-    vanishes. So the first failure is among {0, 1, 2}, a window around
-    rho, or a window around tau, shifted by up to two to step over
-    rho - 1 and rho.
-    """
+    base, step = chain.base, chain.step
+    stabilization = 0
+    for exponent, slope in step.terms:
+        root = -base.coefficient(exponent) / slope
+        stabilization = max(stabilization, math.floor(root) + 1)
     candidates = {0, 1, 2}
-    leading = [terms[0][0] for terms in (chain.base.terms, chain.step.terms) if terms]
-    if leading:
-        lowest = min(leading)
-        slope = chain.step.coefficient(lowest)
-        if slope != 0:
-            intercept = chain.base.coefficient(lowest)
-            root = math.floor(-intercept / slope)
-            candidates.update(range(root - 1, root + 3))
-            if upper.order() == lowest:
-                crossing = math.floor((upper.leading_coeff() - gap - intercept) / slope)
-                candidates.update(range(crossing - 1, crossing + 4))
-    return sorted(i for i in candidates if 0 <= i <= stabilization)
+    if step.terms and step.order() <= base.order():
+        lowest, slope = step.terms[0]
+        intercept = base.coefficient(lowest)
+        root = math.floor(-intercept / slope)
+        candidates.update(range(root - 1, root + 3))
+        if upper.order() == lowest:
+            crossing = math.floor((upper.leading_coeff() - gap - intercept) / slope)
+            stabilization = max(stabilization, crossing + 1)
+            candidates.update(range(crossing - 1, crossing + 4))
+    return stabilization, sorted(i for i in candidates if 0 <= i <= stabilization)
 
 
 def decide_affine_sig_prime(
@@ -249,7 +236,7 @@ def decide_affine_sig_prime(
     below ``x_{i+1}`` and below ``upper``) are constant, and a constant
     condition that held at the index keeps holding, so the smallest
     failing i up to that index, if any, decides the whole infinite chain.
-    That i is found without scanning: :func:`_candidate_indices` gives
+    That i is found without scanning: :func:`_breakpoints` gives
     O(1) breakpoint indices that must contain it, and each candidate, in
     ascending order, is tested with the true conditions on the real chain
     elements. The first that fails is the answer, since every smaller
@@ -264,9 +251,9 @@ def decide_affine_sig_prime(
     gap = _threshold(r)
     if cert.chain.base != cert.lower:
         raise ValueError("certificate chain must start at its lower element")
-    stabilization = _stabilization_index(cert.chain, cert.upper, gap)
+    stabilization, candidates = _breakpoints(cert.chain, cert.upper, gap)
     previous, successor = None, None
-    for i in _candidate_indices(cert.chain, cert.upper, gap, stabilization):
+    for i in candidates:
         current = successor if previous == i - 1 else cert.chain.element(i)
         successor = cert.chain.element(i + 1)
         previous = i

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from narch.laurent import (
     SeriesParseError,
     ZERO,
     add,
+    as_rational,
     compare,
     compare_scaled,
     embed_rational,
@@ -29,6 +31,7 @@ from narch.laurent import (
     sub,
 )
 
+from . import reference_laurent as reference
 from .strategies import nonzero_series, rationals, series
 
 
@@ -61,6 +64,14 @@ class TestConstructors:
         assert embed_rational(Fraction(3, 2)) == s("3/2 eps^0")
         assert embed_rational(0) == ZERO
         assert embed_rational(-1) == s("-1 eps^0")
+
+    @pytest.mark.parametrize("exponent", ["x", 1.5, True])
+    def test_monomial_checks_exponent_of_zero(self, exponent):
+        with pytest.raises(TypeError):
+            monomial(0, exponent)
+
+    def test_zero_monomial_is_zero(self):
+        assert monomial(0, 3) is ZERO
 
     def test_constructor_validates(self):
         with pytest.raises(ValueError):
@@ -177,6 +188,16 @@ class TestParseFormat:
         with pytest.raises(SeriesParseError):
             parse("1 eps2")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("\u0663 eps^\u0661", 0), ("\u00b2", 0), ("1 eps^\u00b2", 6)],
+        ids=["arabic-indic", "superscript", "superscript-exponent"],
+    )
+    def test_parse_rejects_non_ascii_digits(self, text, position):
+        with pytest.raises(SeriesParseError) as info:
+            parse(text)
+        assert info.value.position == position
+
     def test_format_zero(self):
         assert format_series(ZERO) == "0"
 
@@ -260,3 +281,69 @@ def test_every_result_is_normalized(a, b, c):
         assert exponents == sorted(set(exponents))
         assert all(coeff != 0 for _, coeff in value.terms)
         assert all(isinstance(coeff, Fraction) for _, coeff in value.terms)
+
+
+def _raw_pairs(max_terms=8):
+    """Pair lists with repeated exponents, zero coefficients of every
+    accepted type, and (in the second branch) full cancellation."""
+    coeff = st.one_of(st.just(0), st.just("0/5"), st.integers(-3, 3), rationals(-3, 3, 4))
+    pairs = st.lists(st.tuples(st.integers(-3, 3), coeff), max_size=max_terms)
+    return st.one_of(pairs, pairs.map(lambda p: p + [(e, -as_rational(c)) for e, c in p]))
+
+
+def _random_pairs(rnd: Random, max_terms=5) -> list:
+    return [
+        (rnd.randint(-3, 3), Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)))
+        for _ in range(rnd.randint(0, max_terms))
+    ]
+
+
+def _assert_same(value: LaurentSeries, expected: LaurentSeries) -> None:
+    assert value.terms == expected.terms
+    assert LaurentSeries(value.terms) == value  # the validating constructor
+
+
+class TestAgainstReference:
+    """The one accumulator and the one walk against the earlier kernel."""
+
+    @given(_raw_pairs())
+    def test_normalize(self, pairs):
+        _assert_same(normalize(pairs), reference.normalize(pairs))
+
+    @given(_raw_pairs(), _raw_pairs())
+    def test_add_mul_compare(self, p, q):
+        a, b = reference.normalize(p), reference.normalize(q)
+        _assert_same(add(a, b), reference.add(a, b))
+        _assert_same(mul(a, b), reference.mul(a, b))
+        assert compare(a, b) is reference.compare(a, b)
+        for k in range(len(a.terms) + 1):
+            prefix = LaurentSeries(a.terms[:k])
+            assert compare(prefix, a) is reference.compare(prefix, a)
+            assert compare(a, prefix) is reference.compare(a, prefix)
+
+    def test_seeded_sweep(self):
+        rnd = Random(20260507)
+        seen = {"cancelled": 0, "equal": 0, "prefix": 0, "negative_surplus": 0}
+        for _ in range(3000):
+            p, q = _random_pairs(rnd), _random_pairs(rnd)
+            if rnd.random() < 0.2:
+                q = [(e, -c) for e, c in p]
+            a, b = normalize(p), normalize(q)
+            _assert_same(a, reference.normalize(p))
+            _assert_same(b, reference.normalize(q))
+            total = add(a, b)
+            _assert_same(total, reference.add(a, b))
+            _assert_same(mul(a, b), reference.mul(a, b))
+            seen["cancelled"] += bool(a.terms) and not total.terms
+            # the same value built from the pairs in reverse order
+            twin = normalize(reversed(p))
+            seen["equal"] += bool(a.terms) and compare(a, twin) is Ordering.EQUAL
+            pairs = [(a, b), (b, a), (a, twin)]
+            for k in range(len(a.terms)):
+                prefix = LaurentSeries(a.terms[:k])
+                pairs += [(prefix, a), (a, prefix)]
+                seen["prefix"] += 1
+                seen["negative_surplus"] += a.terms[k][1] < 0
+            for x, y in pairs:
+                assert compare(x, y) is reference.compare(x, y)
+        assert min(seen.values()) > 100, seen
