@@ -13,13 +13,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from narch.bandit import Ordering, RewardScheme, crossover_step, scripted_eval
+from narch.bandit import KIND_LAURENT, RewardScheme, _bands, crossover_step
 
 
 def first_flip(scheme: RewardScheme, rounds: int):
-    for row in scripted_eval(rounds, scheme):
-        if row.blue_vs_red is Ordering.LESS:
-            return row.step
+    """First round of a paired scripted run whose blue mean is below the red one.
+
+    Decided once per power-of-two band: a rational blue total num/den is
+    below the red total of ``step`` units exactly when step > num/den, so
+    the band's first such step is num // den + 1 or its first step. A
+    Laurent total holds an eps^-1 term and never falls below.
+    """
+    if scheme.kind == KIND_LAURENT:
+        return None
+    for first, last, _, num, den in _bands(rounds, scheme):
+        if num // den < last:
+            return max(first, num // den + 1)
     return None
 
 

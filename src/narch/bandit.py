@@ -196,6 +196,23 @@ class ScriptedRound(NamedTuple):
     blue_vs_red: Ordering
 
 
+def _bands(n: int, scheme: RewardScheme) -> Iterator[tuple[int, int, RewardValue, int, int]]:
+    """(first, last, jackpot, num, den) for each power-of-two band of steps 1..n.
+
+    Band j holds steps 2^j..min(2^(j+1) - 1, n). Its first press pays
+    jackpot j, and from then on the blue total is num/den (in eps^-1 units
+    for the exact scheme); a rational one beats ``step`` red units exactly
+    while den * step < num, i.e. up to step (num - 1) // den.
+    """
+    laurent = scheme.kind == KIND_LAURENT
+    total = _RATIONAL_ZERO
+    for j in range(n.bit_length()):
+        first = 1 << j
+        jackpot = scheme.jackpot(j)
+        total += 1 if laurent else jackpot
+        yield first, min(2 * first - 1, n), jackpot, total.numerator, total.denominator
+
+
 def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
     """Paired deterministic run: one red and one blue press per round.
 
@@ -204,13 +221,12 @@ def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
     of the round, both exact sums, and the comparison of the blue sample
     mean against the red one. Yields lazily; large round counts stay cheap.
 
-    Rounds come from the closed forms instead of a simulation. After k
-    presses the blue arm has paid its jackpots 0..floor(log2 k), so the
-    blue sum changes only at powers of two and is built once per
-    power-of-two band; the red sum is k units. Both means share the count
-    k, so the blue mean compares with the red one as the blue sum with k:
-    always greater for Laurent sums, whose eps^-1 term outranks every
-    rational, and one integer cross-multiplication for rational sums.
+    Rounds come from the closed forms of :func:`_bands` instead of a
+    simulation: the blue sum changes only at powers of two, and the red
+    sum is k units. Both means share the count k, so the blue mean
+    compares with the red one as the blue sum with k: always greater for
+    Laurent sums, whose eps^-1 term outranks every rational, and one
+    integer cross-multiplication for rational sums.
     """
     if n < 1:
         raise ValueError("round count must be positive")
@@ -218,23 +234,17 @@ def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
     def rounds() -> Iterator[ScriptedRound]:
         laurent = scheme.kind == KIND_LAURENT
         zero = scheme.zero()
-        blue_sum = zero
-        for j in range(n.bit_length()):
-            first = 1 << j
-            reward = scheme.jackpot(j)
-            blue_sum = blue_sum + reward
-            if not laurent:
-                blue_num, blue_den = blue_sum.numerator, blue_sum.denominator
-            for step in range(first, min(2 * first - 1, n) + 1):
+        for first, last, reward, num, den in _bands(n, scheme):
+            blue_sum = monomial(num, -1) if laurent else Fraction(num, den)
+            for step in range(first, last + 1):
                 if laurent:
                     red_sum = monomial(step, 0)
                     blue_vs_red = Ordering.GREATER
                 else:
                     red_sum = Fraction(step)
-                    red_num = blue_den * step
                     blue_vs_red = (
-                        Ordering.GREATER if blue_num > red_num
-                        else Ordering.EQUAL if blue_num == red_num
+                        Ordering.GREATER if num > den * step
+                        else Ordering.EQUAL if num == den * step
                         else Ordering.LESS
                     )
                 yield ScriptedRound(step, reward, red_sum, blue_sum, blue_vs_red)
@@ -443,12 +453,20 @@ def reward_text(value: RewardValue) -> str:
     return str(value)
 
 
+def _ratio_text(numerator: int, denominator: int, suffix: str = "") -> str:
+    """numerator/denominator in lowest terms with one gcd, then ``suffix``."""
+    divisor = math.gcd(numerator, denominator)
+    if divisor == denominator:
+        return f"{numerator // divisor}{suffix}"
+    return f"{numerator // divisor}/{denominator // divisor}{suffix}"
+
+
 def mean_text(total: RewardValue, count: int) -> str:
     """Exact text of the sample mean, equal to reward_text(exact_mean(total, count)).
 
     A rational or single-term total is reduced from its integer numerator
-    and denominator with one gcd, without building the mean; other series
-    go through :func:`exact_mean`.
+    and denominator by :func:`_ratio_text`, without building the mean;
+    other series go through :func:`exact_mean`.
     """
     if count < 1:
         raise ValueError("sample count must be positive")
@@ -459,9 +477,4 @@ def mean_text(total: RewardValue, count: int) -> str:
         ((exponent, total),) = total.terms
         suffix = f" eps^{exponent}"
     total = as_rational(total)
-    numerator = total.numerator
-    denominator = total.denominator * count
-    divisor = math.gcd(numerator, denominator)
-    if divisor == denominator:
-        return f"{numerator // divisor}{suffix}"
-    return f"{numerator // divisor}/{denominator // divisor}{suffix}"
+    return _ratio_text(total.numerator, total.denominator * count, suffix)

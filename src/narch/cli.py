@@ -15,10 +15,12 @@ import csv
 import json
 import os
 import sys
+from itertools import repeat
 from typing import Any, Iterable, Iterator, Optional, TextIO
 
 from .bandit import (
     Arm,
+    KIND_LAURENT,
     MODE_EGREEDY,
     MODE_SCRIPTED,
     RewardScheme,
@@ -26,9 +28,10 @@ from .bandit import (
     epsilon_greedy_pulls,
     mean_text,
     reward_text,
-    scripted_eval,
+    _bands,
+    _ratio_text,
 )
-from .laurent import Ordering, SeriesParseError, as_rational, compare, format_series, parse
+from .laurent import SeriesParseError, as_rational, compare, format_series, parse
 from .measurement import (
     assignment_from_json,
     diminishing_returns_index,
@@ -187,30 +190,37 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
+    scheme = config.scheme
+    laurent = scheme.kind == KIND_LAURENT
     blue, red = Arm.BLUE.value, Arm.RED.value
-    greater, less = Ordering.GREATER, Ordering.LESS
-    flip_step = None
-    preferred = red
-    reward = None
-    reward_texts = {}
+    zero_cell = reward_text(scheme.zero())
     # k units over k presses: the red mean is one unit in every round
-    red_cell = mean_text(config.scheme.unit(), 1)
-    for step, blue_reward, _, blue_sum, blue_vs_red in scripted_eval(
-        config.steps, config.scheme
-    ):
-        if blue_reward is not reward:
-            # a jackpot or the zero after it: twice per power-of-two band
-            reward = blue_reward
-            if reward not in reward_texts:
-                reward_texts[reward] = reward_text(reward)
-            reward_cell = reward_texts[reward]
-        preferred = blue if blue_vs_red is greater else red
-        if flip_step is None and blue_vs_red is less:
-            flip_step = step
-        writer.writerow(
-            [str(step), blue, reward_cell, red_cell, mean_text(blue_sum, step), preferred]
-        )
-    return flip_step, preferred
+    red_cell = mean_text(scheme.unit(), 1)
+    # a Laurent blue total is num eps^-1, which outranks every rational
+    suffix = " eps^-1" if laurent else ""
+    jackpot_cells = {}  # the Laurent and static jackpots repeat in every band
+    flip_step = None
+    for first, last, jackpot, num, den in _bands(config.steps, scheme):
+        # blue is preferred up to blue_last; a tie at num/den is red but no flip
+        blue_last = last if laurent else min(last, (num - 1) // den)
+        if flip_step is None and not laurent and num // den < last:
+            flip_step = max(first, num // den + 1)
+        if jackpot not in jackpot_cells:
+            jackpot_cells[jackpot] = reward_text(jackpot)
+        writer.writerow((
+            first, blue, jackpot_cells[jackpot], red_cell, _ratio_text(num, den * first, suffix),
+            blue if first <= blue_last else red,
+        ))
+        # the band's other rows, one gcd each: a blue run, then a red run
+        red_first = max(first, blue_last) + 1
+        for lo, hi, arm in ((first + 1, blue_last, blue), (red_first, last, red)):
+            scaled_dens = range(den * lo, den * hi + 1, den)
+            means = map(_ratio_text, repeat(num), scaled_dens, repeat(suffix))
+            writer.writerows(zip(
+                range(lo, hi + 1), repeat(blue), repeat(zero_cell), repeat(red_cell), means,
+                repeat(arm),
+            ))
+    return flip_step, blue if last <= blue_last else red
 
 
 def _egreedy_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:

@@ -95,9 +95,9 @@ PLUS_INFINITY = PlusInfinity()
 OrderValue = Union[int, PlusInfinity]
 
 
-def _exponent(value: object) -> int:
+def _integer(value: object, what: str = "exponent") -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"exponent {value!r} is not an integer")
+        raise TypeError(f"{what} {value!r} is not an integer")
     return value
 
 
@@ -138,7 +138,7 @@ class LaurentSeries:
             if len(pair) != 2:
                 raise ValueError(f"term {pair!r} is not an (exponent, coefficient) pair")
             exponent, coeff = pair
-            _exponent(exponent)
+            _integer(exponent)
             if not isinstance(coeff, Fraction):
                 raise TypeError(f"coefficient {coeff!r} is not a Fraction")
             if coeff == 0:
@@ -256,12 +256,12 @@ def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
     Duplicate exponents are summed, zero coefficients dropped, exponents
     sorted ascending.
     """
-    return _collect((_exponent(e), as_rational(c)) for e, c in pairs)
+    return _collect((_integer(e), as_rational(c)) for e, c in pairs)
 
 
 def monomial(coefficient: RationalLike, exponent: int) -> LaurentSeries:
     """The single-term series ``coefficient * eps^exponent`` (zero if c = 0)."""
-    _exponent(exponent)
+    _integer(exponent)
     coeff = as_rational(coefficient)
     if coeff == 0:
         return ZERO
@@ -321,7 +321,7 @@ def compare_scaled(a: LaurentSeries, ka: int, b: LaurentSeries, kb: int) -> Orde
     nothing is allocated. Positive scaling preserves signs, which keeps
     the surplus-term cases unchanged.
     """
-    if ka < 1 or kb < 1:
+    if _integer(ka, "scale") < 1 or _integer(kb, "scale") < 1:
         raise ValueError("scales must be positive")
     ta, tb = a.terms, b.terms
     i = j = 0
@@ -368,7 +368,8 @@ def parse(text: str) -> LaurentSeries:
     Grammar: ``series := term (("+" | "-") term)*``,
     ``term := rational ["eps^" integer]``,
     ``rational := ["-"] digits ["/" digits]``, where digits are ASCII
-    ``0``-``9``; an omitted exponent means ``eps^0``. Raises
+    ``0``-``9``; blanks between tokens are the ASCII whitespace
+    characters only; an omitted exponent means ``eps^0``. Raises
     :class:`SeriesParseError` on malformed input.
     """
     pos = 0
@@ -376,7 +377,7 @@ def parse(text: str) -> LaurentSeries:
 
     def skip_ws() -> None:
         nonlocal pos
-        while pos < length and text[pos].isspace():
+        while pos < length and text[pos] in " \t\n\r\v\f":
             pos += 1
 
     def read_digits(what: str) -> int:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import narch.cli
-from narch.bandit import scripted_eval
+from narch.bandit import _bands
 from narch.laurent import ZERO, parse, scalar_mul
 from narch.measurement import (
     MeasurementAssignment,
@@ -263,10 +263,10 @@ class TestBandit:
 SCRIPTED_ARGV = ["bandit", "--scheme", "approx:10", "--mode", "scripted", "--steps", "100"]
 
 
-def _failing_scripted_eval(n, scheme):
-    rows = scripted_eval(n, scheme)
-    for _ in range(50):
-        yield next(rows)
+def _failing_bands(n, scheme):
+    bands = _bands(n, scheme)
+    for _ in range(6):  # the bands of steps 1-63
+        yield next(bands)
     raise RuntimeError("row source failed mid-stream")
 
 
@@ -293,7 +293,7 @@ class TestAtomicOutput:
         assert list(target.iterdir()) == []
 
     def test_failure_mid_stream_leaves_no_file(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(narch.cli, "scripted_eval", _failing_scripted_eval)
+        monkeypatch.setattr(narch.cli, "_bands", _failing_bands)
         with contextlib.redirect_stdout(io.StringIO()) as captured:
             with pytest.raises(RuntimeError):
                 narch.cli.main([*SCRIPTED_ARGV, "--out", str(tmp_path / "trace.csv")])
@@ -303,7 +303,7 @@ class TestAtomicOutput:
     def test_failure_keeps_existing_file(self, monkeypatch, tmp_path):
         out = tmp_path / "trace.csv"
         out.write_bytes(b"previous run\n")
-        monkeypatch.setattr(narch.cli, "scripted_eval", _failing_scripted_eval)
+        monkeypatch.setattr(narch.cli, "_bands", _failing_bands)
         with contextlib.redirect_stdout(io.StringIO()):
             with pytest.raises(RuntimeError):
                 narch.cli.main([*SCRIPTED_ARGV, "--out", str(out)])
@@ -339,9 +339,14 @@ class TestStreamingMemory:
             (["bandit", "--scheme", "approx:50", "--mode", "egreedy", "--epsilon", "1/10"],
              "--steps"),
             (["bandit", "--scheme", "laurent", "--mode", "scripted"], "--steps"),
+            (["bandit", "--scheme", "approx:50", "--mode", "scripted"], "--steps"),
+            (["bandit", "--scheme", "dynamic:7/3", "--mode", "scripted"], "--steps"),
             (["measure", "feasible-top", "--r", "7/3"], "--n-max"),
         ],
-        ids=["egreedy laurent", "egreedy approx", "scripted", "feasible-top"],
+        ids=[
+            "egreedy laurent", "egreedy approx", "scripted", "scripted approx",
+            "scripted dynamic", "feasible-top",
+        ],
     )
     def test_peak_does_not_grow_with_rows(self, tmp_path, argv, steps_flag):
         out = ["--out", str(tmp_path / "out.csv")]

@@ -124,6 +124,23 @@ class TestCompare:
     def test_zero_equal(self):
         assert compare(ZERO, ZERO) is Ordering.EQUAL
 
+    def test_scaled_compare_stays_integer(self):
+        big = monomial(10**17 + 1, 0)
+        assert compare_scaled(big, 1, monomial(10**17, 0), 1) is Ordering.GREATER
+
+    @pytest.mark.parametrize("scale", [1.0, True, Fraction(1)], ids=["float", "bool", "fraction"])
+    def test_scaled_compare_rejects_non_integer_scales(self, scale):
+        a, b = monomial(10**17 + 1, 0), monomial(10**17, 0)
+        with pytest.raises(TypeError):
+            compare_scaled(a, scale, b, 1)
+        with pytest.raises(TypeError):
+            compare_scaled(a, 1, b, scale)
+
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_scaled_compare_rejects_nonpositive_scales(self, scale):
+        with pytest.raises(ValueError):
+            compare_scaled(ONE, scale, ONE, 1)
+
     def test_dunders(self):
         assert s("1 eps^1") < ONE
         assert monomial(1, -1) > monomial(1000000, 0)
@@ -197,6 +214,19 @@ class TestParseFormat:
         with pytest.raises(SeriesParseError) as info:
             parse(text)
         assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("1\u3000eps^1", 1), ("\u00a01", 0), ("1 +\x1c2", 3)],
+        ids=["ideographic-space", "no-break-space", "file-separator"],
+    )
+    def test_parse_rejects_non_ascii_blanks(self, text, position):
+        with pytest.raises(SeriesParseError) as info:
+            parse(text)
+        assert info.value.position == position
+
+    def test_parse_accepts_ascii_blanks(self):
+        assert parse(" \t1\n+\r2 eps^1\v\f") == parse("1 + 2 eps^1")
 
     def test_format_zero(self):
         assert format_series(ZERO) == "0"

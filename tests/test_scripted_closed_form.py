@@ -18,7 +18,7 @@ from narch.bandit import (
     reward_text,
     scripted_eval,
 )
-from narch.laurent import LaurentSeries
+from narch.laurent import LaurentSeries, Ordering
 
 from .reference_bandit import stepwise_scripted_eval, value_types
 from .strategies import series
@@ -58,6 +58,43 @@ def _cli_summary(tmp_path, scheme: str, steps: int) -> dict:
         ])
     assert code == 0
     return json.loads(captured.getvalue())
+
+
+# approx:1 ties at steps 1 and 2; dynamic:1 ties at the last step of every band
+CLI_SCHEMES = SCHEMES + [
+    RewardScheme.static_approx(1),
+    RewardScheme.dynamic_approx(1),
+    RewardScheme.static_approx(2),
+]
+CLI_STEPS = [1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025, 5000]
+
+
+def _stepwise_cli_output(n: int, scheme: RewardScheme) -> tuple[str, dict]:
+    """The CSV and summary that the reference run implies, row by row."""
+    lines = [",".join(cli.CSV_HEADER)]
+    flip_step, preferred = None, "red"
+    for step, reward, red_sum, blue_sum, blue_vs_red in stepwise_scripted_eval(n, scheme):
+        preferred = "blue" if blue_vs_red is Ordering.GREATER else "red"
+        if flip_step is None and blue_vs_red is Ordering.LESS:
+            flip_step = step
+        lines.append(",".join([
+            str(step), "blue", reward_text(reward), reward_text(exact_mean(red_sum, step)),
+            reward_text(exact_mean(blue_sum, step)), preferred,
+        ]))
+    summary = {
+        "scheme": scheme.text(), "mode": "scripted", "steps": n,
+        "flip_step": flip_step, "final_preference": preferred,
+    }
+    return "\n".join(lines) + "\n", summary
+
+
+@pytest.mark.parametrize("scheme", CLI_SCHEMES, ids=[s.text() for s in CLI_SCHEMES])
+def test_cli_bytes_match_stepwise_reference(tmp_path, scheme):
+    for n in CLI_STEPS:
+        summary = _cli_summary(tmp_path, scheme.text(), n)
+        csv_text, expected_summary = _stepwise_cli_output(n, scheme)
+        assert (tmp_path / "trace.csv").read_bytes() == csv_text.encode(), n
+        assert summary == expected_summary, n
 
 
 @pytest.mark.parametrize("m", APPROX, ids=[str(m) for m in APPROX])
