@@ -13,23 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from narch.bandit import KIND_LAURENT, RewardScheme, _bands, crossover_step
-
-
-def first_flip(scheme: RewardScheme, rounds: int):
-    """First round of a paired scripted run whose blue mean is below the red one.
-
-    Decided once per power-of-two band: a rational blue total num/den is
-    below the red total of ``step`` units exactly when step > num/den, so
-    the band's first such step is num // den + 1 or its first step. A
-    Laurent total holds an eps^-1 term and never falls below.
-    """
-    if scheme.kind == KIND_LAURENT:
-        return None
-    for first, last, _, num, den in _bands(rounds, scheme):
-        if num // den < last:
-            return max(first, num // den + 1)
-    return None
+from narch import Ordering, RewardScheme, crossover_step, first_flip, scripted_eval
 
 
 def main() -> int:
@@ -43,8 +27,9 @@ def main() -> int:
         predicted = crossover_step(m)
         note = f"crossover_step({m}) = {predicted}"
         if predicted is not None and predicted <= args.rounds:
-            observed = first_flip(RewardScheme.static_approx(m), args.rounds)
-            assert observed == predicted
+            # confirmed by the rows: the first one whose blue mean is below the red one
+            rows = scripted_eval(predicted, RewardScheme.static_approx(m))
+            assert next(r.step for r in rows if r.blue_vs_red is Ordering.LESS) == predicted
             note += " (confirmed by scripted scan)"
         print(f"{'approx:' + str(m):<18} {str(predicted):<12} {note}")
 

@@ -73,6 +73,7 @@ from .bandit import (
     epsilon_greedy_pulls,
     epsilon_greedy_run,
     exact_mean,
+    first_flip,
     is_power_of_two,
     mean_compare,
     reward_text,

@@ -13,7 +13,7 @@ which is defined for both rational and Laurent sums, or, against the red
 mean of one unit, as a sum against its count. Under the exact
 scheme the blue mean keeps an infinite component and never falls below the
 red mean; under a static approximation it provably does, at a press count
-computed by :func:`crossover_step`.
+computed by :func:`first_flip`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .laurent import (
     Ordering,
     RationalLike,
     ZERO,
+    _integer,
     as_rational,
     compare_scaled,
     format_series,
@@ -162,7 +163,7 @@ def mean_compare(
     division ever happens, so the answer is exact for rational and Laurent
     sums alike.
     """
-    if n_a < 1 or n_b < 1:
+    if min(_integer(n_a, "sample count"), _integer(n_b, "sample count")) < 1:
         raise ValueError("sample counts must be positive")
     if isinstance(sum_a, LaurentSeries) and isinstance(sum_b, LaurentSeries):
         return compare_scaled(sum_a, n_b, sum_b, n_a)
@@ -181,7 +182,7 @@ def mean_compare(
 
 def exact_mean(total: RewardValue, count: int) -> RewardValue:
     """The exact sample mean (coefficient-wise for Laurent sums)."""
-    if count < 1:
+    if _integer(count, "sample count") < 1:
         raise ValueError("sample count must be positive")
     if isinstance(total, LaurentSeries):
         return scalar_mul(Fraction(1, count), total)
@@ -196,21 +197,25 @@ class ScriptedRound(NamedTuple):
     blue_vs_red: Ordering
 
 
-def _bands(n: int, scheme: RewardScheme) -> Iterator[tuple[int, int, RewardValue, int, int]]:
-    """(first, last, jackpot, num, den) for each power-of-two band of steps 1..n.
+def _bands(n: int, scheme: RewardScheme) -> Iterator[tuple[int, int, RewardValue, int, int, int]]:
+    """(first, last, jackpot, num, den, blue_last) per power-of-two band of steps 1..n.
 
     Band j holds steps 2^j..min(2^(j+1) - 1, n). Its first press pays
     jackpot j, and from then on the blue total is num/den (in eps^-1 units
-    for the exact scheme); a rational one beats ``step`` red units exactly
-    while den * step < num, i.e. up to step (num - 1) // den.
+    for the exact scheme). ``blue_last`` is the band's last step at which
+    the blue total beats ``step`` red units: every step for the exact
+    scheme, whose eps^-1 term outranks every rational, and otherwise those
+    with den * step < num, i.e. up to step (num - 1) // den.
     """
     laurent = scheme.kind == KIND_LAURENT
     total = _RATIONAL_ZERO
     for j in range(n.bit_length()):
         first = 1 << j
+        last = min(2 * first - 1, n)
         jackpot = scheme.jackpot(j)
         total += 1 if laurent else jackpot
-        yield first, min(2 * first - 1, n), jackpot, total.numerator, total.denominator
+        num, den = total.numerator, total.denominator
+        yield first, last, jackpot, num, den, last if laurent else min(last, (num - 1) // den)
 
 
 def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
@@ -223,59 +228,59 @@ def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
 
     Rounds come from the closed forms of :func:`_bands` instead of a
     simulation: the blue sum changes only at powers of two, and the red
-    sum is k units. Both means share the count k, so the blue mean
-    compares with the red one as the blue sum with k: always greater for
-    Laurent sums, whose eps^-1 term outranks every rational, and one
-    integer cross-multiplication for rational sums.
+    sum is k units. Both means share the count k, so the blue mean is
+    greater up to the band's ``blue_last`` and from there equal or less
+    as num/den equals or falls below k.
     """
     if n < 1:
         raise ValueError("round count must be positive")
 
     def rounds() -> Iterator[ScriptedRound]:
         laurent = scheme.kind == KIND_LAURENT
+        red_total = (lambda step: monomial(step, 0)) if laurent else Fraction
         zero = scheme.zero()
-        for first, last, reward, num, den in _bands(n, scheme):
+        for first, last, reward, num, den, blue_last in _bands(n, scheme):
             blue_sum = monomial(num, -1) if laurent else Fraction(num, den)
             for step in range(first, last + 1):
-                if laurent:
-                    red_sum = monomial(step, 0)
-                    blue_vs_red = Ordering.GREATER
-                else:
-                    red_sum = Fraction(step)
-                    blue_vs_red = (
-                        Ordering.GREATER if num > den * step
-                        else Ordering.EQUAL if num == den * step
-                        else Ordering.LESS
-                    )
-                yield ScriptedRound(step, reward, red_sum, blue_sum, blue_vs_red)
+                blue_vs_red = (
+                    Ordering.GREATER if step <= blue_last
+                    else Ordering.EQUAL if num == den * step
+                    else Ordering.LESS
+                )
+                yield ScriptedRound(step, reward, red_total(step), blue_sum, blue_vs_red)
                 reward = zero
 
     return rounds()
 
 
+def first_flip(scheme: RewardScheme, bound: int = 2**32) -> Optional[int]:
+    """First step <= bound of a paired scripted run whose blue mean is below the red one.
+
+    Decided once per band of :func:`_bands`: a rational blue total num/den
+    is below ``step`` red units exactly when step > num/den, so the first
+    such step is num // den + 1 in the first band that reaches it. That
+    step is never before the band's first step, because the total only
+    grows and the band before ended at or below it. A tie is not a flip.
+    A Laurent total holds an eps^-1 term and never falls below, and no
+    step lies within a bound below 1: both give None.
+    """
+    if _integer(bound, "bound") < 1 or scheme.kind == KIND_LAURENT:
+        return None
+    for _, last, _, num, den, _ in _bands(bound, scheme):
+        if num // den < last:
+            return num // den + 1
+    return None
+
+
 def crossover_step(m: RationalLike, *, bound: int = 2**32) -> Optional[int]:
-    """Smallest press count n with m * (floor(log2 n) + 1) < n, or None.
+    """Smallest press count n <= bound with m * (floor(log2 n) + 1) < n, or None.
 
     This is where a static approximation M makes the blue sample mean drop
     below the red one: after n presses the blue arm has paid exactly
-    floor(log2 n) + 1 jackpots of M against n red units. Within one
-    power-of-two band the jackpot count is constant and the inequality is
-    monotone in n, so each band is resolved directly instead of stepping;
-    the scan gives up past ``bound``.
+    floor(log2 n) + 1 jackpots of M against n red units. It is
+    :func:`first_flip` of the static scheme.
     """
-    approx = as_rational(m)
-    if approx <= 0:
-        raise ValueError("approximation constant must be positive")
-    bits = 1
-    while True:
-        band_lo = 1 << (bits - 1)
-        if band_lo > bound:
-            return None
-        band_hi = min((1 << bits) - 1, bound)
-        first_above = math.floor(approx * bits) + 1
-        if first_above <= band_hi:
-            return max(first_above, band_lo)
-        bits += 1
+    return first_flip(RewardScheme.static_approx(m), bound)
 
 
 MODE_SCRIPTED = "scripted"
@@ -357,11 +362,10 @@ def epsilon_greedy_pulls(config: RunConfig) -> Iterator[PullState]:
 
     The means are never built. The red mean is one unit, so blue is
     greedy iff its sum exceeds blue_pulls units, and that sum changes only
-    on the power-of-two presses that pay a jackpot. A Laurent sum then
-    holds an eps^-1 term that outranks every rational, so blue stays
-    greedy once pulled; a rational sum num/den is tested by the integer
-    comparison num > den * blue_pulls. Yields lazily; memory does not
-    depend on the step count.
+    on the power-of-two presses that pay a jackpot. So the blue pulls walk
+    the bands of :func:`_bands`: each jackpot press takes the next band's
+    jackpot and total, and blue stays greedy up to its ``blue_last``.
+    Yields lazily; memory does not depend on the step count.
     """
     if config.mode != MODE_EGREEDY:
         raise ValueError("config.mode must be 'egreedy'")
@@ -373,7 +377,9 @@ def epsilon_greedy_pulls(config: RunConfig) -> Iterator[PullState]:
         rng = Xorshift64Star(config.seed)
         red, blue = Arm.RED, Arm.BLUE
         unit, zero = scheme.unit(), scheme.zero()
-        blue_pulls = 0
+        # blue is pulled at most steps - 1 times, so these bands cover every pull
+        bands = _bands(config.steps, scheme)
+        blue_pulls = blue_last = 0
         blue_sum = zero
         preferred = red
         for step in range(1, config.steps + 1):
@@ -390,14 +396,10 @@ def epsilon_greedy_pulls(config: RunConfig) -> Iterator[PullState]:
                 if blue_pulls & (blue_pulls - 1):
                     reward = zero
                 else:
-                    reward = scheme.jackpot(blue_pulls.bit_length() - 1)
-                    blue_sum = blue_sum + reward
+                    _, _, reward, num, den, blue_last = next(bands)
+                    blue_sum = monomial(num, -1) if laurent else Fraction(num, den)
                 # a red pull moves neither the blue mean nor the unit red mean
-                if laurent:
-                    preferred = blue
-                else:
-                    greater = blue_sum.numerator > blue_sum.denominator * blue_pulls
-                    preferred = blue if greater else red
+                preferred = blue if blue_pulls <= blue_last else red
             yield PullState(step, arm, reward, blue_pulls, blue_sum, preferred)
 
     return pulls()
@@ -468,7 +470,7 @@ def mean_text(total: RewardValue, count: int) -> str:
     and denominator by :func:`_ratio_text`, without building the mean;
     other series go through :func:`exact_mean`.
     """
-    if count < 1:
+    if _integer(count, "sample count") < 1:
         raise ValueError("sample count must be positive")
     suffix = ""
     if isinstance(total, LaurentSeries):

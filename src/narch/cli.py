@@ -26,6 +26,7 @@ from .bandit import (
     RewardScheme,
     RunConfig,
     epsilon_greedy_pulls,
+    first_flip,
     mean_text,
     reward_text,
     _bands,
@@ -191,20 +192,14 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
 
 def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
     scheme = config.scheme
-    laurent = scheme.kind == KIND_LAURENT
     blue, red = Arm.BLUE.value, Arm.RED.value
     zero_cell = reward_text(scheme.zero())
     # k units over k presses: the red mean is one unit in every round
     red_cell = mean_text(scheme.unit(), 1)
-    # a Laurent blue total is num eps^-1, which outranks every rational
-    suffix = " eps^-1" if laurent else ""
+    # a Laurent blue total is num eps^-1
+    suffix = " eps^-1" if scheme.kind == KIND_LAURENT else ""
     jackpot_cells = {}  # the Laurent and static jackpots repeat in every band
-    flip_step = None
-    for first, last, jackpot, num, den in _bands(config.steps, scheme):
-        # blue is preferred up to blue_last; a tie at num/den is red but no flip
-        blue_last = last if laurent else min(last, (num - 1) // den)
-        if flip_step is None and not laurent and num // den < last:
-            flip_step = max(first, num // den + 1)
+    for first, last, jackpot, num, den, blue_last in _bands(config.steps, scheme):
         if jackpot not in jackpot_cells:
             jackpot_cells[jackpot] = reward_text(jackpot)
         writer.writerow((
@@ -220,7 +215,7 @@ def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
                 range(lo, hi + 1), repeat(blue), repeat(zero_cell), repeat(red_cell), means,
                 repeat(arm),
             ))
-    return flip_step, blue if last <= blue_last else red
+    return first_flip(scheme, config.steps), blue if last <= blue_last else red
 
 
 def _egreedy_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:

@@ -14,14 +14,17 @@ from narch.bandit import (
     env_step,
     epsilon_greedy_run,
     exact_mean,
+    first_flip,
     is_power_of_two,
     mean_compare,
+    mean_text,
     reward_text,
     scripted_eval,
 )
 from narch.laurent import ONE, Ordering, ZERO, compare, monomial, parse, scalar_mul
 from narch.rng import Xorshift64Star
 
+from .reference_bandit import stepwise_scripted_eval
 from .strategies import series
 
 
@@ -142,6 +145,32 @@ class TestMeanCompare:
         assert mean_compare(sum_a, n_a, sum_b, n_b) is expected
 
 
+class TestSampleCounts:
+    @pytest.mark.parametrize("count", [1.0, True, Fraction(1)])
+    def test_non_integer_counts_rejected(self, count):
+        with pytest.raises(TypeError):
+            mean_compare(Fraction(1), count, Fraction(1), 1)
+        with pytest.raises(TypeError):
+            mean_compare(Fraction(1), 1, Fraction(1), count)
+        with pytest.raises(TypeError):
+            exact_mean(Fraction(1), count)
+        with pytest.raises(TypeError):
+            mean_text(Fraction(3), count)
+
+    def test_counts_below_one_rejected(self):
+        for call in (
+            lambda: mean_compare(Fraction(1), 1, Fraction(1), -1),
+            lambda: exact_mean(Fraction(1), 0),
+            lambda: mean_text(Fraction(1), -2),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_large_equal_means_compare_equal(self):
+        total = Fraction(10**17 + 1)
+        assert mean_compare(total, 1, total, 1) is Ordering.EQUAL
+
+
 class TestScripted:
     def test_static_1000_first_rounds(self):
         rows = list(scripted_eval(4, RewardScheme.static_approx(1000)))
@@ -194,6 +223,54 @@ class TestCrossover:
                 expected = n
                 break
         assert crossover_step(m, bound=2999) == expected
+
+
+M_VALUES = st.fractions(min_value=Fraction(1, 3), max_value=60, max_denominator=6)
+
+
+class TestFirstFlip:
+    def test_crossover_is_static_first_flip(self):
+        assert first_flip(RewardScheme.static_approx(1000)) == crossover_step(1000) == 14_001
+
+    def test_ties_are_not_flips(self):
+        # approx:1 ties at step 1; dynamic:1 ties at the last step of every band
+        assert first_flip(RewardScheme.static_approx(1)) == 3
+        assert first_flip(RewardScheme.dynamic_approx(1)) is None
+        assert first_flip(RewardScheme.static_approx(Fraction(3, 2)), 4) is None
+        assert first_flip(RewardScheme.static_approx(Fraction(3, 2)), 5) == 5
+
+    def test_laurent_never_flips(self):
+        assert first_flip(LAURENT) is None
+
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_bound_below_one_gives_none(self, bound):
+        assert first_flip(RewardScheme.static_approx(1), bound) is None
+        assert crossover_step(1, bound=bound) is None
+
+    @pytest.mark.parametrize("bound", [2.5, True])
+    def test_non_integer_bound_rejected(self, bound):
+        with pytest.raises(TypeError):
+            first_flip(RewardScheme.static_approx(1), bound)
+        with pytest.raises(TypeError):
+            first_flip(LAURENT, bound)
+        with pytest.raises(TypeError):
+            crossover_step(1, bound=bound)
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.builds(RewardScheme.static_approx, M_VALUES),
+            st.builds(RewardScheme.dynamic_approx, M_VALUES),
+            st.sampled_from([
+                RewardScheme.static_approx(1), RewardScheme.dynamic_approx(1), LAURENT,
+            ]),
+        ),
+        st.integers(1, 3000),
+    )
+    def test_matches_stepwise_scan(self, scheme, bound):
+        rows = stepwise_scripted_eval(bound, scheme)
+        expected = next((row.step for row in rows if row.blue_vs_red is Ordering.LESS), None)
+        assert first_flip(scheme, bound) == expected
 
 
 class TestEpsilonGreedy:

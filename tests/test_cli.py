@@ -402,12 +402,13 @@ class TestScripts:
             capture_output=True, text=True, cwd=REPO_ROOT,
         )
         assert result.returncode == 0, result.stderr
-        lines = result.stdout.splitlines()
-        assert any(
-            line.startswith("approx:1000")
-            and "14001" in line
-            and line.endswith("(confirmed by scripted scan)")
-            for line in lines
+        assert result.stdout == (
+            "scheme             flip step    note\n"
+            "approx:1000        14001        crossover_step(1000) = 14001"
+            " (confirmed by scripted scan)\n"
+            "approx:1000000     25000001     crossover_step(1000000) = 25000001\n"
+            "laurent            None         no flip in 20000 rounds\n"
+            "dynamic:1000000    None         no flip in 20000 rounds\n"
         )
 
     def test_measurement_growth_script(self):
