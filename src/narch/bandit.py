@@ -232,7 +232,7 @@ def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
     greater up to the band's ``blue_last`` and from there equal or less
     as num/den equals or falls below k.
     """
-    if n < 1:
+    if _integer(n, "round count") < 1:
         raise ValueError("round count must be positive")
 
     def rounds() -> Iterator[ScriptedRound]:

@@ -11,13 +11,11 @@ prefix; bounded monotone measurements instead plateau, which
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .laurent import RationalLike, as_rational
+from .laurent import RationalLike, _integer, as_rational
 from .sig_order import SigThreshold, ThresholdLike, _threshold
 
 
@@ -27,7 +25,9 @@ class FiniteSigStructure:
 
     Labels are strings. Each relation entry must be a tuple or list of two
     declared labels; anything else (a bare string such as ``"ab"``, a
-    number) raises ValueError instead of being coerced.
+    number) raises ValueError instead of being coerced. The validation pass
+    also stores, per element, the indices of the elements it is related
+    below, which :func:`is_accurate_measurement` reads.
     """
 
     elements: tuple[str, ...]
@@ -40,21 +40,29 @@ class FiniteSigStructure:
         for label in elements:
             if not isinstance(label, str):
                 raise ValueError(f"element label {label!r} is not a string")
-        declared = set(elements)
-        if len(declared) != len(elements):
+        index = {x: i for i, x in enumerate(elements)}
+        if len(index) != len(elements):
             raise ValueError("element labels must be unique")
         # one pass: every entry is shape-checked and resolved as it is stored;
-        # membership in the set of string labels also rules out non-string labels
+        # lookup among the string labels also rules out non-string labels
         pairs = []
+        above: list[list[int]] = [[] for _ in elements]
         for entry in self.relation:
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise ValueError(f"relation entry {entry!r} is not a pair")
             x1, x2 = entry
-            if x1 not in declared or x2 not in declared:
-                raise ValueError(f"relation pair {entry!r} references undeclared elements")
+            try:
+                above[index[x1]].append(index[x2])
+            except KeyError:
+                raise ValueError(
+                    f"relation pair {entry!r} references undeclared elements"
+                ) from None
             pairs.append((x1, x2))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "relation", frozenset(pairs))
+        # not a field, so equality, hash, repr and JSON see only the labels;
+        # a repeated entry repeats an index, which no minimum notices
+        object.__setattr__(self, "_above", tuple(map(tuple, above)))
 
 
 @dataclass(frozen=True)
@@ -88,32 +96,43 @@ def is_accurate_measurement(
     separated ordered pairs, those with ``f(x1) + r <= f(x2)``; pairs
     outside R matter too. Raises ValueError when an element has no value.
 
-    The elements are sorted by value once, giving ``pos[x]``, and
-    ``first[x] = bisect_left(sorted_values, f(x) + r)``. Every value at or
-    above ``f(x) + r`` sits at or after ``first[x]`` and every smaller one
-    before it, ties included, so ``(x1, x2)`` is in S iff
-    ``pos[x2] >= first[x1]`` and ``|S| = sum(n - first[x])``. A relation
-    pair failing that test is in R but not in S; if all pass, R is a subset
-    of S, and R = S iff ``|R| = |S|``. A self-pair always fails, because
-    r > 0 puts ``first[x]`` after ``pos[x]``. The cost is O(n log n)
-    Fraction work plus O(|R|) integer comparisons, not n^2 Fraction tests.
+    The element indices are sorted by value once, giving each element its
+    rank ``pos[i]``. One ascending sweep then gives ``first[i]``, the rank
+    of the first value at or above ``f(x_i) + r``: that bound rises with
+    the rank of ``x_i``, so the sweep's pointer never moves back. Every
+    value at or above the bound sits at or after ``first[i]`` and every
+    smaller one before it, ties included, so ``(x_i, x_j)`` is in S iff
+    ``pos[j] >= first[i]`` and ``|S| = sum(n - first[i])``. If every
+    relation pair passes that test, R is a subset of S, and R = S iff
+    ``|R| = |S|``; the structure's per-element index of the elements above
+    each one turns the test into one integer minimum per element. A
+    self-pair always fails, because r > 0 puts ``first[i]`` after
+    ``pos[i]``. The cost is O(n log n) Fraction comparisons to rank, O(n)
+    for the sweep, and O(|R|) integer work over an index built once per
+    structure, not n^2 Fraction tests.
     """
     values = assignment.values
-    elements = structure.elements
-    missing = [x for x in elements if x not in values]
-    if missing:
-        raise ValueError(f"no value assigned to element {missing[0]!r}")
+    try:
+        vals = [values[x] for x in structure.elements]
+    except KeyError as missing:
+        raise ValueError(f"no value assigned to element {missing.args[0]!r}") from None
     gap = assignment.threshold.r
-    relation = structure.relation
-    ranked = sorted(elements, key=values.__getitem__)
-    ordered = [values[x] for x in ranked]
-    pos = {x: i for i, x in enumerate(ranked)}
-    first = {x: bisect_left(ordered, values[x] + gap) for x in elements}
-    n = len(elements)
-    if sum(n - f for f in first.values()) != len(relation):
+    n = len(vals)
+    order = sorted(range(n), key=vals.__getitem__)
+    ranked = [vals[i] for i in order]
+    pos = [0] * n
+    first = [0] * n
+    j = 0
+    for k, i in enumerate(order):
+        pos[i] = k
+        bound = ranked[k] + gap
+        while j < n and ranked[j] < bound:
+            j += 1
+        first[i] = j
+    if n * n - sum(first) != len(structure.relation):
         return False
-    for x1, x2 in relation:
-        if pos[x2] < first[x1]:
+    for row, lowest in zip(structure._above, first):
+        if row and min(map(pos.__getitem__, row)) < lowest:
             return False
     return True
 
@@ -140,10 +159,9 @@ def min_feasible_top(n: int, r: ThresholdLike) -> Fraction:
     n + 1 gaps sum to (n+1) * r: unbounded in n, which is why no single
     real-valued assignment measures the infinite chain.
     """
-    if n < 0:
+    if _integer(n, "chain index") < 0:
         raise ValueError("chain index must be non-negative")
-    # operator.index rejects a float n, so the result stays exact
-    return (operator.index(n) + 1) * _threshold(r)
+    return (n + 1) * _threshold(r)
 
 
 def diminishing_returns_index(

@@ -199,6 +199,12 @@ class TestScripted:
         with pytest.raises(ValueError):
             scripted_eval(0, LAURENT)
 
+    @pytest.mark.parametrize("n", [True, 2.5, Fraction(3)])
+    def test_rejects_non_integer_rounds_at_the_call(self, n):
+        # raised by the call itself, before any round is drawn
+        with pytest.raises(TypeError):
+            scripted_eval(n, LAURENT)
+
 
 class TestCrossover:
     def test_small_values(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -182,6 +183,100 @@ class TestRanksAgainstPairwise:
                 assert pairwise_is_accurate_measurement(structure, assignment) is expected
                 assert is_accurate_measurement(structure, assignment) is expected
 
+    def test_json_structures_with_repeats_self_pairs_and_isolated_elements(self):
+        rnd = Random(31415)
+        outcomes = {True: 0, False: 0}
+        seen = {"repeat": 0, "self_pair": 0, "no_row": 0, "unrelated": 0, "shuffled": 0}
+        for k in range(3000):
+            n = rnd.randint(1, 7)
+            labels = [f"v{i}" for i in range(n)]
+            r = Fraction(rnd.randint(1, 4), 2)
+            values = {x: Fraction(rnd.randint(0, 10), 2) for x in labels}
+            all_pairs = [(x1, x2) for x1 in labels for x2 in labels]
+            relation = _separated(values, r)
+            if k % 3 == 1:
+                relation ^= {rnd.choice(all_pairs)}
+            elif k % 3 == 2:
+                relation |= {(x, x) for x in rnd.sample(labels, rnd.randint(1, n))}
+            # every pair as a list or a tuple, some twice, in both forms
+            entries = [list(pair) if rnd.random() < 0.5 else pair for pair in relation]
+            repeats = [rnd.choice((list, tuple))(pair) for pair in relation if rnd.random() < 0.3]
+            entries += repeats
+            rnd.shuffle(entries)
+            elements = rnd.sample(labels, n)
+            structure = structure_from_json({"elements": elements, "relation": entries})
+            assignment = MeasurementAssignment(values=values, threshold=SigThreshold(r))
+            expected = pairwise_is_accurate_measurement(structure, assignment)
+            assert is_accurate_measurement(structure, assignment) == expected
+            outcomes[expected] += 1
+            assert structure.relation == frozenset(relation)
+            seen["repeat"] += bool(repeats)
+            seen["self_pair"] += any(x1 == x2 for x1, x2 in relation)
+            seen["no_row"] += any(all(x1 != x for x1, _ in relation) for x in labels)
+            seen["unrelated"] += any(all(x not in pair for pair in relation) for x in labels)
+            seen["shuffled"] += elements != labels
+        assert outcomes[True] > 500 and outcomes[False] > 500, outcomes
+        assert all(count > 100 for count in seen.values()), seen
+
+    def test_index_leaves_equality_hash_and_repr_alone(self):
+        assignment = MeasurementAssignment(
+            values={"a": 0, "b": 1, "c": 2}, threshold=SigThreshold(1)
+        )
+        for pairs in ([("a", "b")], [("a", "b"), ("a", "c"), ("b", "c"), ("c", "c")]):
+            direct = FiniteSigStructure(elements=("a", "b", "c"), relation=frozenset(pairs))
+            # the same fields from reordered, repeated list entries: another index
+            from_json = structure_from_json(
+                {"elements": ["a", "b", "c"], "relation": [list(p) for p in pairs[::-1]] + pairs}
+            )
+            for structure in (direct, from_json):
+                is_accurate_measurement(structure, assignment)
+                assert repr(structure) == (
+                    f"FiniteSigStructure(elements={structure.elements!r}, "
+                    f"relation={structure.relation!r})"
+                )
+            assert direct == from_json
+            assert hash(direct) == hash(from_json)
+            assert {direct: 1}[from_json] == 1
+            assert structure_to_json(direct) == structure_to_json(from_json)
+        # one pair, so both frozensets print alike whatever the string hashes
+        assert repr(
+            structure_from_json({"elements": ["a", "b"], "relation": [["a", "b"], ("a", "b")]})
+        ) == repr(FiniteSigStructure(elements=("a", "b"), relation=frozenset({("a", "b")})))
+
+
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]]
+
+
+class TestBoundedCost:
+    def test_distinct_prime_denominators_in_bounded_memory(self):
+        # 5,000 values in (1/4, 1/3) over distinct primes: no pair is r = 1
+        # apart, so R = S = {}; a common denominator would be ~78,000 bits
+        primes = _primes_below(50_000)[4:5004]
+        assert len(primes) == 5000
+        labels = [f"p{p}" for p in primes]
+        values = MeasurementAssignment(
+            values={x: Fraction(p // 3, p) for x, p in zip(labels, primes)},
+            threshold=SigThreshold(1),
+        )
+        empty = FiniteSigStructure(elements=tuple(labels), relation=frozenset())
+        one_pair = FiniteSigStructure(
+            elements=tuple(labels), relation=frozenset({(labels[0], labels[-1])})
+        )
+        tracemalloc.start()
+        try:
+            assert is_accurate_measurement(empty, values) is True
+            assert is_accurate_measurement(one_pair, values) is False
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
+
 
 class TestMinFeasibleTop:
     def test_single_constraint(self):
@@ -196,6 +291,11 @@ class TestMinFeasibleTop:
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
             min_feasible_top(-1, 1)
+
+    @pytest.mark.parametrize("n", [True, -0.5, 2.5, Fraction(2)])
+    def test_rejects_non_integer_index_before_its_sign(self, n):
+        with pytest.raises(TypeError):
+            min_feasible_top(n, 1)
 
     @given(st.integers(0, 300), st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7))
     def test_closed_form(self, n, r):
