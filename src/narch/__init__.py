@@ -68,7 +68,6 @@ from .bandit import (
     RunConfig,
     ScriptedRound,
     crossover_step,
-    discounted_return,
     env_step,
     epsilon_greedy_pulls,
     epsilon_greedy_run,

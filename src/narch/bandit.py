@@ -13,7 +13,8 @@ which is defined for both rational and Laurent sums, or, against the red
 mean of one unit, as a sum against its count. Under the exact
 scheme the blue mean keeps an infinite component and never falls below the
 red mean; under a static approximation it provably does, at a press count
-computed by :func:`first_flip`.
+computed by :func:`first_flip`. :func:`write_trace` writes the CLI's
+trace rows of a run straight from these closed forms.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from itertools import repeat
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .laurent import (
     LaurentSeries,
@@ -165,19 +167,12 @@ def mean_compare(
     """
     if min(_integer(n_a, "sample count"), _integer(n_b, "sample count")) < 1:
         raise ValueError("sample counts must be positive")
-    if isinstance(sum_a, LaurentSeries) and isinstance(sum_b, LaurentSeries):
-        return compare_scaled(sum_a, n_b, sum_b, n_a)
-    if isinstance(sum_a, LaurentSeries) or isinstance(sum_b, LaurentSeries):
+    laurent = isinstance(sum_a, LaurentSeries)
+    if laurent != isinstance(sum_b, LaurentSeries):
         raise TypeError("cannot compare a Laurent sum against a bare rational")
-    fa = as_rational(sum_a)
-    fb = as_rational(sum_b)
-    lhs = n_b * fa.numerator * fb.denominator
-    rhs = n_a * fb.numerator * fa.denominator
-    if lhs < rhs:
-        return Ordering.LESS
-    if lhs == rhs:
-        return Ordering.EQUAL
-    return Ordering.GREATER
+    if not laurent:
+        sum_a, sum_b = monomial(sum_a, 0), monomial(sum_b, 0)
+    return compare_scaled(sum_a, n_b, sum_b, n_a)
 
 
 def exact_mean(total: RewardValue, count: int) -> RewardValue:
@@ -301,17 +296,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool):
-            raise TypeError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
+        if _integer(self.steps, "steps") < 1:
             raise ValueError("steps must be positive")
         epsilon = as_rational(self.epsilon)
         if not Fraction(0) <= epsilon <= Fraction(1):
             raise ValueError("epsilon must lie in [0, 1]")
         object.__setattr__(self, "epsilon", epsilon)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= _integer(self.seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
 
@@ -386,7 +377,7 @@ def epsilon_greedy_pulls(config: RunConfig) -> Iterator[PullState]:
             if step <= 2:
                 arm = red if step == 1 else blue
             elif rng.bernoulli(epsilon):
-                arm = red if rng.next_bit() == 0 else blue
+                arm = blue if rng.next_u64() & 1 else red
             else:
                 arm = preferred
             if arm is red:
@@ -428,26 +419,6 @@ def epsilon_greedy_run(config: RunConfig) -> EpsilonGreedyResult:
     )
 
 
-def discounted_return(
-    rewards: Sequence[RewardValue], gamma: RationalLike, *, zero: RewardValue = ZERO
-) -> RewardValue:
-    """Sum of gamma^t * rewards[t], computed exactly.
-
-    ``zero`` is only returned for an empty list, where the codomain cannot
-    be inferred; pass Fraction(0) when accumulating rational rewards.
-    """
-    discount = as_rational(gamma)
-    if not Fraction(0) < discount < Fraction(1):
-        raise ValueError("discount must lie strictly between 0 and 1")
-    total: Optional[RewardValue] = None
-    weight = Fraction(1)
-    for reward in rewards:
-        term = weight * reward
-        total = term if total is None else total + term
-        weight = weight * discount
-    return zero if total is None else total
-
-
 def reward_text(value: RewardValue) -> str:
     """Exact text for a reward value: series text or plain rational."""
     if isinstance(value, LaurentSeries):
@@ -480,3 +451,69 @@ def mean_text(total: RewardValue, count: int) -> str:
         suffix = f" eps^{exponent}"
     total = as_rational(total)
     return _ratio_text(total.numerator, total.denominator * count, suffix)
+
+
+def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
+    scheme = config.scheme
+    blue, red = Arm.BLUE.value, Arm.RED.value
+    zero_cell = reward_text(scheme.zero())
+    # k units over k presses: the red mean is one unit in every round
+    red_cell = mean_text(scheme.unit(), 1)
+    # a Laurent blue total is num eps^-1
+    suffix = " eps^-1" if scheme.kind == KIND_LAURENT else ""
+    jackpot_cells = {}  # the Laurent and static jackpots repeat in every band
+    for first, last, jackpot, num, den, blue_last in _bands(config.steps, scheme):
+        if jackpot not in jackpot_cells:
+            jackpot_cells[jackpot] = reward_text(jackpot)
+        writer.writerow((
+            first, blue, jackpot_cells[jackpot], red_cell, _ratio_text(num, den * first, suffix),
+            blue if first <= blue_last else red,
+        ))
+        # the band's other rows, one gcd each: a blue run, then a red run
+        red_first = max(first, blue_last) + 1
+        for lo, hi, arm in ((first + 1, blue_last, blue), (red_first, last, red)):
+            scaled_dens = range(den * lo, den * hi + 1, den)
+            means = map(_ratio_text, repeat(num), scaled_dens, repeat(suffix))
+            writer.writerows(zip(
+                range(lo, hi + 1), repeat(blue), repeat(zero_cell), repeat(red_cell), means,
+                repeat(arm),
+            ))
+    return first_flip(scheme, config.steps), blue if last <= blue_last else red
+
+
+def _egreedy_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
+    scheme = config.scheme
+    red, blue = Arm.RED, Arm.BLUE
+    red_cell, blue_cell = red.value, blue.value
+    zero = scheme.zero()
+    unit_cell, zero_cell = reward_text(scheme.unit()), reward_text(zero)
+    # the red arm pays one unit per pull: its mean is one unit in every row
+    red_mean_cell = mean_text(scheme.unit(), 1)
+    blue_mean_cell = ""
+    flip_step = None
+    previous = preferred = red
+    for step, arm, reward, blue_pulls, blue_sum, preferred in epsilon_greedy_pulls(config):
+        if arm is red:
+            reward_cell = unit_cell
+        else:
+            reward_cell = zero_cell if reward is zero else reward_text(reward)
+            blue_mean_cell = mean_text(blue_sum, blue_pulls)
+        if previous is blue and preferred is red and flip_step is None:
+            flip_step = step
+        previous = preferred
+        writer.writerow([
+            str(step), red_cell if arm is red else blue_cell, reward_cell, red_mean_cell,
+            blue_mean_cell, red_cell if preferred is red else blue_cell,
+        ])
+    return flip_step, preferred.value
+
+
+def write_trace(config: RunConfig, writer) -> tuple[Optional[int], str]:
+    """Write a run's trace rows through a ``csv.writer``-like ``writer``.
+
+    Scripted rows come from the bands of :func:`_bands`, epsilon-greedy
+    rows from :func:`epsilon_greedy_pulls`; each is written as it is
+    computed. Returns the flip step (or None) and the final preference.
+    """
+    write_rows = _scripted_rows if config.mode == MODE_SCRIPTED else _egreedy_rows
+    return write_rows(config, writer)

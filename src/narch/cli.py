@@ -15,23 +15,9 @@ import csv
 import json
 import os
 import sys
-from itertools import repeat
 from typing import Any, Iterable, Iterator, Optional, TextIO
 
-from .bandit import (
-    Arm,
-    KIND_LAURENT,
-    MODE_EGREEDY,
-    MODE_SCRIPTED,
-    RewardScheme,
-    RunConfig,
-    epsilon_greedy_pulls,
-    first_flip,
-    mean_text,
-    reward_text,
-    _bands,
-    _ratio_text,
-)
+from .bandit import MODE_EGREEDY, MODE_SCRIPTED, RewardScheme, RunConfig, write_trace
 from .laurent import SeriesParseError, as_rational, compare, format_series, parse
 from .measurement import (
     assignment_from_json,
@@ -65,6 +51,8 @@ def _load_json_file(path: str) -> object:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 @contextlib.contextmanager
@@ -190,67 +178,11 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
-    scheme = config.scheme
-    blue, red = Arm.BLUE.value, Arm.RED.value
-    zero_cell = reward_text(scheme.zero())
-    # k units over k presses: the red mean is one unit in every round
-    red_cell = mean_text(scheme.unit(), 1)
-    # a Laurent blue total is num eps^-1
-    suffix = " eps^-1" if scheme.kind == KIND_LAURENT else ""
-    jackpot_cells = {}  # the Laurent and static jackpots repeat in every band
-    for first, last, jackpot, num, den, blue_last in _bands(config.steps, scheme):
-        if jackpot not in jackpot_cells:
-            jackpot_cells[jackpot] = reward_text(jackpot)
-        writer.writerow((
-            first, blue, jackpot_cells[jackpot], red_cell, _ratio_text(num, den * first, suffix),
-            blue if first <= blue_last else red,
-        ))
-        # the band's other rows, one gcd each: a blue run, then a red run
-        red_first = max(first, blue_last) + 1
-        for lo, hi, arm in ((first + 1, blue_last, blue), (red_first, last, red)):
-            scaled_dens = range(den * lo, den * hi + 1, den)
-            means = map(_ratio_text, repeat(num), scaled_dens, repeat(suffix))
-            writer.writerows(zip(
-                range(lo, hi + 1), repeat(blue), repeat(zero_cell), repeat(red_cell), means,
-                repeat(arm),
-            ))
-    return first_flip(scheme, config.steps), blue if last <= blue_last else red
-
-
-def _egreedy_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
-    scheme = config.scheme
-    red, blue = Arm.RED, Arm.BLUE
-    red_cell, blue_cell = red.value, blue.value
-    zero = scheme.zero()
-    unit_cell, zero_cell = reward_text(scheme.unit()), reward_text(zero)
-    # the red arm pays one unit per pull: its mean is one unit in every row
-    red_mean_cell = mean_text(scheme.unit(), 1)
-    blue_mean_cell = ""
-    flip_step = None
-    previous = preferred = red
-    for step, arm, reward, blue_pulls, blue_sum, preferred in epsilon_greedy_pulls(config):
-        if arm is red:
-            reward_cell = unit_cell
-        else:
-            reward_cell = zero_cell if reward is zero else reward_text(reward)
-            blue_mean_cell = mean_text(blue_sum, blue_pulls)
-        if previous is blue and preferred is red and flip_step is None:
-            flip_step = step
-        previous = preferred
-        writer.writerow([
-            str(step), red_cell if arm is red else blue_cell, reward_cell, red_mean_cell,
-            blue_mean_cell, red_cell if preferred is red else blue_cell,
-        ])
-    return flip_step, preferred.value
-
-
 def _cmd_bandit(args: argparse.Namespace) -> int:
     config = _bandit_config(args)
-    write_rows = _scripted_rows if config.mode == MODE_SCRIPTED else _egreedy_rows
     with _csv_output(args.out) as writer:
         writer.writerow(CSV_HEADER)
-        flip_step, final_preference = write_rows(config, writer)
+        flip_step, final_preference = write_trace(config, writer)
     summary = {
         "scheme": config.scheme.text(),
         "mode": config.mode,

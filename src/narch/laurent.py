@@ -97,14 +97,16 @@ OrderValue = Union[int, PlusInfinity]
 
 def _integer(value: object, what: str = "exponent") -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} {value!r} is not an integer")
+        raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
 
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, a string such as ``-3/4``, or a Fraction to a Fraction.
 
-    Floats are rejected: every quantity in this package is exact.
+    Floats are rejected: every quantity in this package is exact. Strings
+    must be ASCII, as in :func:`parse`: ``Fraction`` itself would also read
+    other Unicode digits, such as ``"١"``.
     """
     if isinstance(value, Fraction):
         return value
@@ -112,9 +114,11 @@ def as_rational(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
+            if value.isascii():
+                return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise ValueError(f"not a rational: {value!r}")
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 

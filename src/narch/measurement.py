@@ -143,7 +143,7 @@ def chain_prefix_structure(chain_len: int) -> FiniteSigStructure:
     The relation is the full induced one: every earlier chain element is
     significantly below every later one and below y.
     """
-    if chain_len < 1:
+    if _integer(chain_len, "chain length") < 1:
         raise ValueError("chain length must be positive")
     labels = [f"x{i}" for i in range(chain_len)]
     relation = {(labels[i], labels[j]) for i in range(chain_len) for j in range(i + 1, chain_len)}

@@ -14,7 +14,7 @@ streams for equal seeds.
 
 from __future__ import annotations
 
-from .laurent import RationalLike, as_rational
+from .laurent import RationalLike, _integer, as_rational
 
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
@@ -25,9 +25,7 @@ class Xorshift64Star:
     """Deterministic 64-bit generator; equal seeds give equal streams."""
 
     def __init__(self, seed: int) -> None:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise TypeError("seed must be an integer")
-        if not 0 <= seed <= _MASK64:
+        if not 0 <= _integer(seed, "seed") <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
         self._state = seed if seed != 0 else _ZERO_SEED_SUBSTITUTE
 
@@ -38,9 +36,6 @@ class Xorshift64Star:
         s ^= s >> 27
         self._state = s
         return (s * _MULTIPLIER) & _MASK64
-
-    def next_bit(self) -> int:
-        return self.next_u64() & 1
 
     def bernoulli(self, probability: RationalLike) -> bool:
         """True with the given rational probability, to 2^-64 granularity.

@@ -29,6 +29,7 @@ from .laurent import (
     Ordering,
     RationalLike,
     ZERO,
+    _integer,
     add,
     as_rational,
     compare,
@@ -106,7 +107,7 @@ def laurent_nonarch_witness(
     any chain element: the chain is trapped under y forever.
     """
     gap = _threshold(r)
-    if n < 1:
+    if _integer(n, "prefix length") < 1:
         raise ValueError("prefix length must be positive")
     chain = [monomial((i + 1) * gap, 1) for i in range(n)]
     return chain, monomial(1, 0)

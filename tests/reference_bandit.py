@@ -70,7 +70,7 @@ def stepwise_epsilon_greedy_run(config: RunConfig) -> EpsilonGreedyResult:
         elif step == 2:
             arm = Arm.BLUE
         elif rng.bernoulli(config.epsilon):
-            arm = Arm.RED if rng.next_bit() == 0 else Arm.BLUE
+            arm = Arm.BLUE if rng.next_u64() & 1 else Arm.RED
         else:
             arm = greedy_arm()
         state, reward = env_step(state, arm, scheme)

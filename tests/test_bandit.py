@@ -10,8 +10,8 @@ from narch.bandit import (
     RewardScheme,
     RunConfig,
     crossover_step,
-    discounted_return,
     env_step,
+    epsilon_greedy_pulls,
     epsilon_greedy_run,
     exact_mean,
     first_flip,
@@ -326,41 +326,33 @@ class TestEpsilonGreedy:
         with pytest.raises(ValueError):
             RunConfig(scheme=LAURENT, mode="egreedy", steps=1, seed=-1)
 
+    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 3)], ids=str)
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_explore_recipe_on_a_fresh_stream(self, seed, epsilon):
+        # one draw u, explore iff u * den < num * 2^64, then red on an even draw
+        config = RunConfig(
+            scheme=RewardScheme.static_approx(3), mode="egreedy", steps=300,
+            epsilon=epsilon, seed=seed,
+        )
+        draws = Xorshift64Star(seed)
+        explored = 0
+        previous = None
+        for pull in epsilon_greedy_pulls(config):
+            if pull.step >= 3:
+                if draws.next_u64() * epsilon.denominator < epsilon.numerator * 2**64:
+                    explored += 1
+                    expected = Arm.RED if draws.next_u64() % 2 == 0 else Arm.BLUE
+                else:
+                    expected = previous.preferred
+                assert pull.arm is expected, pull.step
+            previous = pull
+        assert (explored == 298) if epsilon == 1 else (0 < explored < 298)
+
     @pytest.mark.parametrize("steps", [True, False, 2.5, 3.0, "3", Fraction(3)], ids=repr)
     @pytest.mark.parametrize("mode", ["egreedy", "scripted"])
     def test_steps_must_be_an_integer(self, mode, steps):
         with pytest.raises(TypeError):
             RunConfig(scheme=LAURENT, mode=mode, steps=steps)
-
-
-class TestDiscountedReturn:
-    def test_empty_list_gives_zero(self):
-        assert discounted_return([], Fraction(1, 2)) == ZERO
-        assert discounted_return([], Fraction(1, 2), zero=Fraction(0)) == 0
-
-    def test_geometric_units(self):
-        assert discounted_return([ONE, ONE, ONE], Fraction(1, 2)) == parse("7/4 eps^0")
-
-    def test_mixed_orders(self):
-        rewards = [monomial(1, -1), ONE]
-        assert discounted_return(rewards, Fraction(1, 2)) == parse("1 eps^-1 + 1/2 eps^0")
-
-    def test_rejects_bad_discount(self):
-        with pytest.raises(ValueError):
-            discounted_return([ONE], Fraction(1))
-
-    @settings(deadline=None)
-    @given(
-        st.lists(series(), max_size=5),
-        st.lists(series(), max_size=5),
-        st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10), max_denominator=10),
-    )
-    def test_additive_over_concatenation(self, first, second, gamma):
-        whole = discounted_return(list(first) + list(second), gamma)
-        split = discounted_return(first, gamma) + scalar_mul(
-            gamma ** len(first), discounted_return(second, gamma)
-        )
-        assert whole == split
 
 
 class TestRuntimeText:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import narch.bandit
 import narch.cli
 from narch.bandit import _bands
 from narch.laurent import ZERO, parse, scalar_mul
@@ -39,6 +40,11 @@ class TestCompare:
         assert result.returncode == 0
         assert result.stdout == "equal\n"
 
+    def test_non_ascii_digit_exits_2(self, narch_cli):
+        result = narch_cli("compare", "--lhs", "\u0661", "--rhs", "0")
+        assert result.returncode == 2
+        assert result.stderr.startswith("narch:")
+
     def test_malformed_input_exits_2(self, narch_cli):
         result = narch_cli("compare", "--lhs", "(malformed", "--rhs", "0")
         assert result.returncode == 2
@@ -63,6 +69,34 @@ class TestWitness:
     def test_nonpositive_threshold_exits_2(self, narch_cli):
         assert narch_cli("witness", "--r", "-1", "--n", "3").returncode == 2
         assert narch_cli("witness", "--r", "0", "--n", "3").returncode == 2
+
+    def test_non_ascii_threshold_exits_2(self, narch_cli):
+        result = narch_cli("witness", "--r", "\u0661", "--n", "2")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "not a rational" in result.stderr
+
+
+def _deep_json(path):
+    path.write_text("[" * 200_000, encoding="utf-8")
+    return str(path)
+
+
+class TestDeepJson:
+    def _assert_input_error(self, result):
+        assert result.returncode == 2
+        assert result.stderr.startswith("narch:")
+        assert "Traceback" not in result.stderr
+
+    def test_measure_check_exits_2(self, narch_cli, tmp_path):
+        path = _deep_json(tmp_path / "deep.json")
+        self._assert_input_error(narch_cli("measure", "check", "--input", path))
+
+    def test_bandit_config_exits_2(self, narch_cli, tmp_path):
+        out = tmp_path / "trace.csv"
+        path = _deep_json(tmp_path / "deep.json")
+        self._assert_input_error(narch_cli("bandit", "--config", path, "--out", str(out)))
+        assert not out.exists()
 
 
 class TestMeasure:
@@ -117,6 +151,18 @@ class TestMeasure:
         result = narch_cli("measure", "check", "--input", str(path))
         assert result.returncode == 0
         assert json.loads(result.stdout) == {"accurate": accurate}
+
+    def test_check_non_ascii_values_exit_2(self, narch_cli, tmp_path):
+        payload = {
+            "structure": {"elements": ["x0", "y"], "relation": [["x0", "y"]]},
+            "assignment": {"values": {"x0": "\u0660", "y": "\u0661"}, "r": "1"},
+        }
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        result = narch_cli("measure", "check", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "not a rational" in result.stderr
 
     def test_check_missing_file_exits_2(self, narch_cli, tmp_path):
         missing = tmp_path / "nope.json"
@@ -293,7 +339,7 @@ class TestAtomicOutput:
         assert list(target.iterdir()) == []
 
     def test_failure_mid_stream_leaves_no_file(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(narch.cli, "_bands", _failing_bands)
+        monkeypatch.setattr(narch.bandit, "_bands", _failing_bands)
         with contextlib.redirect_stdout(io.StringIO()) as captured:
             with pytest.raises(RuntimeError):
                 narch.cli.main([*SCRIPTED_ARGV, "--out", str(tmp_path / "trace.csv")])
@@ -303,7 +349,7 @@ class TestAtomicOutput:
     def test_failure_keeps_existing_file(self, monkeypatch, tmp_path):
         out = tmp_path / "trace.csv"
         out.write_bytes(b"previous run\n")
-        monkeypatch.setattr(narch.cli, "_bands", _failing_bands)
+        monkeypatch.setattr(narch.bandit, "_bands", _failing_bands)
         with contextlib.redirect_stdout(io.StringIO()):
             with pytest.raises(RuntimeError):
                 narch.cli.main([*SCRIPTED_ARGV, "--out", str(out)])
@@ -419,6 +465,16 @@ class TestScripts:
         assert result.returncode == 0, result.stderr
         assert "chain index  4096: 4097\n" in result.stdout
         assert "plateaus at index 6 " in result.stdout
+
+
+    def test_bench_selftest(self):
+        # the bench probes narch names such as env_step; deleting one fails here
+        script = REPO_ROOT / "bench" / "selftest.py"
+        result = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, cwd=REPO_ROOT
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "all self-test cases passed" in result.stdout
 
 
 class TestUsageErrors:

@@ -239,6 +239,14 @@ class TestParseFormat:
     def test_json_round_trip(self, a):
         assert series_from_json(series_to_json(a)) == a
 
+    @pytest.mark.parametrize("text", ["\u0661", "\u0661/\u0662", "\uff11", "1/\u0662"])
+    def test_non_ascii_digits_rejected(self, text):
+        # Fraction() itself reads these digits; the package grammar does not
+        with pytest.raises(ValueError):
+            as_rational(text)
+        with pytest.raises(ValueError):
+            series_from_json({"terms": [[0, text]]})
+
 
 class TestAlgebraicLaws:
     @given(series(), series(), series())

@@ -32,6 +32,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             FiniteSigStructure(elements=("a",), relation=frozenset({("a", "b")}))
 
+    @pytest.mark.parametrize("chain_len", [True, 2.5, Fraction(3)], ids=repr)
+    def test_chain_rejects_non_integer_length(self, chain_len):
+        with pytest.raises(TypeError):
+            chain_prefix_structure(chain_len)
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             FiniteSigStructure(elements=("a", "a"), relation=frozenset())

@@ -142,6 +142,11 @@ class TestWitness:
     def test_same_order_trapped_prefix(self):
         assert verify_nonarch_prefix([monomial(1, 1), monomial(2, 1)], monomial(5, 1), 1)
 
+    @pytest.mark.parametrize("n", [True, 2.5, Fraction(3)], ids=repr)
+    def test_rejects_non_integer_length(self, n):
+        with pytest.raises(TypeError):
+            laurent_nonarch_witness(1, n)
+
     @given(thresholds(), st.integers(1, 60))
     def test_witness_verifies_for_any_threshold(self, r, n):
         chain, y = laurent_nonarch_witness(r, n)
