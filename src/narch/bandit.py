@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, TextIO, Union
 
 from .laurent import (
     LaurentSeries,
@@ -38,7 +37,7 @@ from .laurent import (
     monomial,
     scalar_mul,
 )
-from .rng import Xorshift64Star
+from .rng import Xorshift64Star, _threshold
 
 RewardValue = Union[Fraction, LaurentSeries]
 
@@ -46,6 +45,7 @@ _LAURENT_UNIT = monomial(1, 0)
 _LAURENT_JACKPOT = monomial(1, -1)
 _RATIONAL_ZERO = Fraction(0)
 _RATIONAL_UNIT = Fraction(1)
+_CHUNK_ROWS = 4096  # scripted rows joined per write: memory stays flat in --steps
 
 
 class Arm(Enum):
@@ -348,8 +348,10 @@ def epsilon_greedy_pulls(config: RunConfig) -> Iterator[PullState]:
     probability epsilon, otherwise pulls the arm whose exact sample mean
     is greater; ties (and an unsampled blue arm) defer to red, the
     lower-indexed arm. All randomness comes from the seeded xorshift64*
-    stream: one draw per step after the second, and one more for the arm
-    of an exploring step. Equal configs give identical pulls.
+    stream: one draw per step after the second, which explores iff
+    ``rng.bernoulli(epsilon)`` would (it is compared with one threshold
+    computed per run), and one more draw for the arm of an exploring step.
+    Equal configs give identical pulls.
 
     The means are never built. The red mean is one unit, so blue is
     greedy iff its sum exceeds blue_pulls units, and that sum changes only
@@ -360,40 +362,41 @@ def epsilon_greedy_pulls(config: RunConfig) -> Iterator[PullState]:
     """
     if config.mode != MODE_EGREEDY:
         raise ValueError("config.mode must be 'egreedy'")
+    return map(PullState._make, _pulls(config))
 
-    def pulls() -> Iterator[PullState]:
-        scheme = config.scheme
-        laurent = scheme.kind == KIND_LAURENT
-        epsilon = config.epsilon
-        rng = Xorshift64Star(config.seed)
-        red, blue = Arm.RED, Arm.BLUE
-        unit, zero = scheme.unit(), scheme.zero()
-        # blue is pulled at most steps - 1 times, so these bands cover every pull
-        bands = _bands(config.steps, scheme)
-        blue_pulls = blue_last = 0
-        blue_sum = zero
-        preferred = red
-        for step in range(1, config.steps + 1):
-            if step <= 2:
-                arm = red if step == 1 else blue
-            elif rng.bernoulli(epsilon):
-                arm = blue if rng.next_u64() & 1 else red
-            else:
-                arm = preferred
-            if arm is red:
-                reward = unit
-            else:
-                blue_pulls += 1
-                if blue_pulls & (blue_pulls - 1):
-                    reward = zero
-                else:
-                    _, _, reward, num, den, blue_last = next(bands)
-                    blue_sum = monomial(num, -1) if laurent else Fraction(num, den)
-                # a red pull moves neither the blue mean nor the unit red mean
-                preferred = blue if blue_pulls <= blue_last else red
-            yield PullState(step, arm, reward, blue_pulls, blue_sum, preferred)
 
-    return pulls()
+def _pulls(config: RunConfig) -> Iterator[tuple]:
+    # the pulls of epsilon_greedy_pulls as plain tuples, so a trace row builds no PullState
+    scheme = config.scheme
+    laurent = scheme.kind == KIND_LAURENT
+    explore = _threshold(config.epsilon)
+    next_u64 = Xorshift64Star(config.seed).next_u64
+    red, blue = Arm.RED, Arm.BLUE
+    unit, zero = scheme.unit(), scheme.zero()
+    # blue is pulled at most steps - 1 times, so these bands cover every pull
+    bands = _bands(config.steps, scheme)
+    blue_pulls = blue_last = 0
+    blue_sum = zero
+    preferred = red
+    for step in range(1, config.steps + 1):
+        if step <= 2:
+            arm = red if step == 1 else blue
+        elif next_u64() < explore:
+            arm = blue if next_u64() & 1 else red
+        else:
+            arm = preferred
+        if arm is red:
+            reward = unit
+        else:
+            blue_pulls += 1
+            if blue_pulls & (blue_pulls - 1):
+                reward = zero
+            else:
+                _, _, reward, num, den, blue_last = next(bands)
+                blue_sum = monomial(num, -1) if laurent else Fraction(num, den)
+            # a red pull moves neither the blue mean nor the unit red mean
+            preferred = blue if blue_pulls <= blue_last else red
+        yield step, arm, reward, blue_pulls, blue_sum, preferred
 
 
 def epsilon_greedy_run(config: RunConfig) -> EpsilonGreedyResult:
@@ -453,7 +456,7 @@ def mean_text(total: RewardValue, count: int) -> str:
     return _ratio_text(total.numerator, total.denominator * count, suffix)
 
 
-def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
+def _scripted_rows(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
     scheme = config.scheme
     blue, red = Arm.BLUE.value, Arm.RED.value
     zero_cell = reward_text(scheme.zero())
@@ -461,59 +464,66 @@ def _scripted_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
     red_cell = mean_text(scheme.unit(), 1)
     # a Laurent blue total is num eps^-1
     suffix = " eps^-1" if scheme.kind == KIND_LAURENT else ""
+    middle = f",{blue},{zero_cell},{red_cell},"  # the cells between step and blue mean
     jackpot_cells = {}  # the Laurent and static jackpots repeat in every band
     for first, last, jackpot, num, den, blue_last in _bands(config.steps, scheme):
         if jackpot not in jackpot_cells:
             jackpot_cells[jackpot] = reward_text(jackpot)
-        writer.writerow((
-            first, blue, jackpot_cells[jackpot], red_cell, _ratio_text(num, den * first, suffix),
-            blue if first <= blue_last else red,
-        ))
+        out.write(
+            f"{first},{blue},{jackpot_cells[jackpot]},{red_cell},"
+            f"{_ratio_text(num, den * first, suffix)},{blue if first <= blue_last else red}\n"
+        )
         # the band's other rows, one gcd each: a blue run, then a red run
         red_first = max(first, blue_last) + 1
         for lo, hi, arm in ((first + 1, blue_last, blue), (red_first, last, red)):
-            scaled_dens = range(den * lo, den * hi + 1, den)
-            means = map(_ratio_text, repeat(num), scaled_dens, repeat(suffix))
-            writer.writerows(zip(
-                range(lo, hi + 1), repeat(blue), repeat(zero_cell), repeat(red_cell), means,
-                repeat(arm),
-            ))
+            tail = f"{suffix},{arm}\n"
+            for start in range(lo, hi + 1, _CHUNK_ROWS):
+                out.write("".join([
+                    f"{step}{middle}{_ratio_text(num, den * step, tail)}"
+                    for step in range(start, min(start + _CHUNK_ROWS, hi + 1))
+                ]))
     return first_flip(scheme, config.steps), blue if last <= blue_last else red
 
 
-def _egreedy_rows(config: RunConfig, writer) -> tuple[Optional[int], str]:
+def _egreedy_rows(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
     scheme = config.scheme
+    laurent = scheme.kind == KIND_LAURENT
     red, blue = Arm.RED, Arm.BLUE
     red_cell, blue_cell = red.value, blue.value
     zero = scheme.zero()
     unit_cell, zero_cell = reward_text(scheme.unit()), reward_text(zero)
     # the red arm pays one unit per pull: its mean is one unit in every row
     red_mean_cell = mean_text(scheme.unit(), 1)
+    suffix = " eps^-1" if laurent else ""
     blue_mean_cell = ""
     flip_step = None
     previous = preferred = red
-    for step, arm, reward, blue_pulls, blue_sum, preferred in epsilon_greedy_pulls(config):
+    for step, arm, reward, blue_pulls, blue_sum, preferred in _pulls(config):
         if arm is red:
             reward_cell = unit_cell
         else:
+            if reward is not zero:  # a jackpot moves the blue total num/den (x eps^-1 if Laurent)
+                total = blue_sum.terms[0][1] if laurent else blue_sum
+                num, den = total.numerator, total.denominator
             reward_cell = zero_cell if reward is zero else reward_text(reward)
-            blue_mean_cell = mean_text(blue_sum, blue_pulls)
+            blue_mean_cell = _ratio_text(num, den * blue_pulls, suffix)
         if previous is blue and preferred is red and flip_step is None:
             flip_step = step
         previous = preferred
-        writer.writerow([
-            str(step), red_cell if arm is red else blue_cell, reward_cell, red_mean_cell,
-            blue_mean_cell, red_cell if preferred is red else blue_cell,
-        ])
+        out.write(
+            f"{step},{red_cell if arm is red else blue_cell},{reward_cell},{red_mean_cell},"
+            f"{blue_mean_cell},{red_cell if preferred is red else blue_cell}\n"
+        )
     return flip_step, preferred.value
 
 
-def write_trace(config: RunConfig, writer) -> tuple[Optional[int], str]:
-    """Write a run's trace rows through a ``csv.writer``-like ``writer``.
+def write_trace(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
+    """Write a run's trace rows as comma-joined CSV lines to the text handle ``out``.
 
-    Scripted rows come from the bands of :func:`_bands`, epsilon-greedy
-    rows from :func:`epsilon_greedy_pulls`; each is written as it is
-    computed. Returns the flip step (or None) and the final preference.
+    No cell can hold a comma, a quote or a newline. Scripted rows come from
+    the bands of :func:`_bands`, each blue or red run joined in chunks of at
+    most 4,096 rows; epsilon-greedy rows from :func:`epsilon_greedy_pulls`,
+    one line per pull. Returns the flip step (or None) and the final preference.
     """
     write_rows = _scripted_rows if config.mode == MODE_SCRIPTED else _egreedy_rows
-    return write_rows(config, writer)
+    return write_rows(config, out)

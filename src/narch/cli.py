@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
-from typing import Any, Iterable, Iterator, Optional, TextIO
+from typing import ContextManager, Iterable, Iterator, Optional, TextIO
 
 from .bandit import MODE_EGREEDY, MODE_SCRIPTED, RewardScheme, RunConfig, write_trace
 from .laurent import SeriesParseError, as_rational, compare, format_series, parse
@@ -81,14 +80,9 @@ def _atomic_output(path: str) -> Iterator[TextIO]:
         raise
 
 
-@contextlib.contextmanager
-def _csv_output(path: Optional[str]) -> Iterator[Any]:
-    """A CSV writer on stdout, or on an atomic output when ``path`` is given."""
-    if path is None:
-        yield csv.writer(sys.stdout, lineterminator="\n")
-        return
-    with _atomic_output(path) as handle:
-        yield csv.writer(handle, lineterminator="\n")
+def _text_output(path: Optional[str]) -> ContextManager[TextIO]:
+    """A text handle for CSV lines: stdout, or an atomic output when ``path`` is given."""
+    return contextlib.nullcontext(sys.stdout) if path is None else _atomic_output(path)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -129,10 +123,10 @@ def _cmd_measure_feasible_top(args: argparse.Namespace) -> int:
     if args.n_min < 0 or args.n_max < args.n_min:
         raise InputError("need 0 <= n-min <= n-max")
     min_feasible_top(args.n_min, r)  # rejects a bad r before any row is written
-    with _csv_output(args.out) as writer:
-        writer.writerow(["n", "min_top"])
+    with _text_output(args.out) as out:
+        out.write("n,min_top\n")
         for n in range(args.n_min, args.n_max + 1):
-            writer.writerow([n, min_feasible_top(n, r)])
+            out.write(f"{n},{min_feasible_top(n, r)}\n")
     return EXIT_OK
 
 
@@ -180,9 +174,9 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_bandit(args: argparse.Namespace) -> int:
     config = _bandit_config(args)
-    with _csv_output(args.out) as writer:
-        writer.writerow(CSV_HEADER)
-        flip_step, final_preference = write_trace(config, writer)
+    with _text_output(args.out) as out:
+        out.write(",".join(CSV_HEADER) + "\n")
+        flip_step, final_preference = write_trace(config, out)
     summary = {
         "scheme": config.scheme.text(),
         "mode": config.mode,

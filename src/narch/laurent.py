@@ -18,6 +18,7 @@ series generally has infinite support.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,6 +26,7 @@ from typing import Iterable, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 TermPair = Tuple[int, Fraction]
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # rational := ["-"] digits ["/" digits]
 
 
 class Ordering(Enum):
@@ -105,20 +107,21 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, a string such as ``-3/4``, or a Fraction to a Fraction.
 
     Floats are rejected: every quantity in this package is exact. Strings
-    must be ASCII, as in :func:`parse`: ``Fraction`` itself would also read
-    other Unicode digits, such as ``"١"``.
+    must match the series grammar's ``rational := ["-"] digits ["/" digits]``
+    exactly, with ASCII digits and a nonzero denominator. ``Fraction``
+    itself would also read ``1e-1``, ``0.5``, ``1_0``, ``+3``, surrounding
+    blanks and other Unicode digits, such as ``"١"``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            if value.isascii():
-                return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-        raise ValueError(f"not a rational: {value!r}")
+        match = _RATIONAL_TEXT.fullmatch(value)
+        denominator = int(match[2] or 1) if match else 0
+        if denominator == 0:
+            raise ValueError(f"not a rational: {value!r}")
+        return Fraction(int(match[1]), denominator)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 

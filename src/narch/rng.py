@@ -41,9 +41,14 @@ class Xorshift64Star:
         """True with the given rational probability, to 2^-64 granularity.
 
         Decided by the exact integer comparison u * den < num * 2^64 on one
-        64-bit draw; no floating point is involved.
+        64-bit draw u, i.e. u < :func:`_threshold`; no floating point is involved.
         """
-        p = as_rational(probability)
-        if not 0 <= p.numerator <= p.denominator:
-            raise ValueError("probability must lie in [0, 1]")
-        return self.next_u64() * p.denominator < p.numerator * (1 << 64)
+        return _threshold(probability) > self.next_u64()  # checks p before drawing
+
+
+def _threshold(probability: RationalLike) -> int:
+    """ceil(num * 2^64 / den) for p = num/den: a draw u has u * den < num * 2^64 iff u < it."""
+    p = as_rational(probability)
+    if not 0 <= p.numerator <= p.denominator:
+        raise ValueError("probability must lie in [0, 1]")
+    return -(-(p.numerator << 64) // p.denominator)

@@ -22,7 +22,7 @@ from narch.bandit import (
     scripted_eval,
 )
 from narch.laurent import ONE, Ordering, ZERO, compare, monomial, parse, scalar_mul
-from narch.rng import Xorshift64Star
+from narch.rng import Xorshift64Star, _threshold
 
 from .reference_bandit import stepwise_scripted_eval
 from .strategies import series
@@ -398,6 +398,23 @@ class TestXorshift:
         for _ in range(3):
             expected = twin.next_u64() * p.denominator < p.numerator * 2**64
             assert rng.bernoulli(p) is expected
+
+    @pytest.mark.parametrize(
+        "p",
+        [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 8), Fraction(1, 10),
+         Fraction(1, 3), Fraction(7, 11), Fraction(2**64 - 1, 2**64)],
+        ids=str,
+    )
+    def test_bernoulli_at_the_threshold(self, p):
+        # the draws on either side of the threshold, where they fit in 64 bits
+        t = _threshold(p)
+        draws = [u for u in (t - 1, t, t + 1) if 0 <= u < 2**64]
+        assert draws
+        for u in draws:
+            rng = Xorshift64Star(7)
+            rng.next_u64 = lambda: u
+            assert rng.bernoulli(p) is (u * p.denominator < p.numerator * 2**64), u
+            assert rng.bernoulli(p) is (u < t), u
 
     @pytest.mark.parametrize("p", [Fraction(-1, 2), Fraction(3, 2), -1, 2, "5/4"])
     def test_bernoulli_rejects_out_of_range(self, p):

@@ -4,10 +4,14 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import narch.bandit
 import narch.cli
@@ -75,6 +79,54 @@ class TestWitness:
         assert result.returncode == 2
         assert result.stdout == ""
         assert "not a rational" in result.stderr
+
+
+# Fraction() reads all of these; the grammar's rational := ["-"] digits ["/" digits] does not
+NOT_RATIONAL = ["1e-1", "0.5", "1_0", "+3", " 3", "3 ", "1/0"]
+
+
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = narch.cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL, ids=repr)
+class TestNotRational:
+    def _assert_rejected(self, argv, text):
+        code, stdout, stderr = _run_in_process(argv)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"narch: invalid input: not a rational: {text!r}\n"
+
+    def test_witness_threshold(self, text):
+        self._assert_rejected(["witness", "--r", text, "--n", "1"], text)
+
+    def test_bandit_epsilon(self, tmp_path, text):
+        out = tmp_path / "trace.csv"
+        self._assert_rejected([
+            "bandit", "--scheme", "laurent", "--mode", "egreedy", "--steps", "5",
+            "--epsilon", text, "--out", str(out),
+        ], text)
+        assert not out.exists()
+
+    def test_bandit_scheme_constant(self, tmp_path, text):
+        out = tmp_path / "trace.csv"
+        self._assert_rejected([
+            "bandit", "--scheme", f"approx:{text}", "--mode", "scripted", "--steps", "5",
+            "--out", str(out),
+        ], text)
+        assert not out.exists()
+
+    def test_measure_check_value(self, tmp_path, text):
+        payload = {
+            "structure": {"elements": ["x0", "y"], "relation": [["x0", "y"]]},
+            "assignment": {"values": {"x0": "0", "y": text}, "r": "1"},
+        }
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        self._assert_rejected(["measure", "check", "--input", str(path)], text)
 
 
 def _deep_json(path):
@@ -399,6 +451,64 @@ class TestStreamingMemory:
         small = _peak_traced_bytes([*argv, steps_flag, "2000", *out])
         large = _peak_traced_bytes([*argv, steps_flag, "50000", *out])
         assert large - small <= 1 << 20, (small, large)
+
+
+def _rational_text():
+    return st.builds(
+        lambda num, den: f"{num}/{den}", st.integers(10, 10**6), st.integers(10, 10**6)
+    )
+
+
+def _assert_plain_csv(text, cells):
+    """Every line reads back through csv.reader as its comma-split cells."""
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    assert len(lines) > 1
+    for line in lines:
+        assert next(csv.reader([line])) == line.split(",")
+        assert len(line.split(",")) == cells, line
+
+
+class TestPlainCsv:
+    """Rows are written as comma-joined text: no cell ever needs csv quoting."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=st.one_of(
+            st.just("laurent"),
+            _rational_text().map("approx:{}".format),
+            _rational_text().map("dynamic:{}".format),
+        ),
+        mode=st.sampled_from(["scripted", "egreedy"]),
+        steps=st.integers(1, 300),
+        epsilon=st.fractions(min_value=0, max_value=1, max_denominator=10**4),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_bandit_rows(self, scheme, mode, steps, epsilon, seed):
+        with tempfile.TemporaryDirectory() as directory:
+            out = Path(directory) / "trace.csv"
+            code, _, stderr = _run_in_process([
+                "bandit", "--scheme", scheme, "--mode", mode, "--steps", str(steps),
+                "--epsilon", str(epsilon), "--seed", str(seed), "--out", str(out),
+            ])
+            assert code == 0, stderr
+            text = out.read_text(encoding="utf-8")
+        assert len(text.splitlines()) == steps + 1
+        _assert_plain_csv(text, 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.one_of(st.integers(1, 10**6).map(str), _rational_text()),
+        n_min=st.integers(0, 50),
+        count=st.integers(0, 50),
+    )
+    def test_feasible_top_rows(self, r, n_min, count):
+        code, stdout, stderr = _run_in_process([
+            "measure", "feasible-top", "--n-min", str(n_min), "--n-max", str(n_min + count),
+            "--r", r,
+        ])
+        assert code == 0, stderr
+        _assert_plain_csv(stdout, 2)
 
 
 class TestConfigTypes:

@@ -32,7 +32,7 @@ SCHEMES = [
     RewardScheme.static_approx(Fraction(1, 2)),
     RewardScheme.dynamic_approx(Fraction(7, 3)),
 ]
-EPSILONS = [Fraction(0), Fraction(1, 10), Fraction(1)]
+EPSILONS = [Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1, 3), Fraction(1)]
 SEEDS = [0, 7, 20260809, 2**64 - 1]
 
 

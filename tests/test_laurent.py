@@ -247,6 +247,24 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             series_from_json({"terms": [[0, text]]})
 
+    @pytest.mark.parametrize(
+        "text", ["1e-1", "0.5", "1_0", "+3", " 3", "3 ", "3\n", "1/0", "3/-4", "-", "/2", "2/"]
+    )
+    def test_fraction_only_forms_rejected(self, text):
+        # Fraction() reads several of these; rational := ["-"] digits ["/" digits] does not
+        with pytest.raises(ValueError, match="not a rational"):
+            as_rational(text)
+        with pytest.raises(ValueError):
+            series_from_json({"terms": [[0, text]]})
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), ("007/010", Fraction(7, 10)),
+         ("-0", Fraction(0)), ("6/4", Fraction(3, 2))],
+    )
+    def test_grammar_forms_accepted(self, text, value):
+        assert as_rational(text) == value
+
 
 class TestAlgebraicLaws:
     @given(series(), series(), series())
