@@ -437,31 +437,12 @@ def _ratio_text(numerator: int, denominator: int, suffix: str = "") -> str:
     return f"{numerator // divisor}/{denominator // divisor}{suffix}"
 
 
-def mean_text(total: RewardValue, count: int) -> str:
-    """Exact text of the sample mean, equal to reward_text(exact_mean(total, count)).
-
-    A rational or single-term total is reduced from its integer numerator
-    and denominator by :func:`_ratio_text`, without building the mean;
-    other series go through :func:`exact_mean`.
-    """
-    if _integer(count, "sample count") < 1:
-        raise ValueError("sample count must be positive")
-    suffix = ""
-    if isinstance(total, LaurentSeries):
-        if len(total.terms) != 1:
-            return reward_text(exact_mean(total, count))
-        ((exponent, total),) = total.terms
-        suffix = f" eps^{exponent}"
-    total = as_rational(total)
-    return _ratio_text(total.numerator, total.denominator * count, suffix)
-
-
 def _scripted_rows(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
     scheme = config.scheme
     blue, red = Arm.BLUE.value, Arm.RED.value
     zero_cell = reward_text(scheme.zero())
     # k units over k presses: the red mean is one unit in every round
-    red_cell = mean_text(scheme.unit(), 1)
+    red_cell = reward_text(scheme.unit())
     # a Laurent blue total is num eps^-1
     suffix = " eps^-1" if scheme.kind == KIND_LAURENT else ""
     middle = f",{blue},{zero_cell},{red_cell},"  # the cells between step and blue mean
@@ -491,9 +472,8 @@ def _egreedy_rows(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
     red, blue = Arm.RED, Arm.BLUE
     red_cell, blue_cell = red.value, blue.value
     zero = scheme.zero()
-    unit_cell, zero_cell = reward_text(scheme.unit()), reward_text(zero)
     # the red arm pays one unit per pull: its mean is one unit in every row
-    red_mean_cell = mean_text(scheme.unit(), 1)
+    unit_cell, zero_cell = reward_text(scheme.unit()), reward_text(zero)
     suffix = " eps^-1" if laurent else ""
     blue_mean_cell = ""
     flip_step = None
@@ -511,7 +491,7 @@ def _egreedy_rows(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
             flip_step = step
         previous = preferred
         out.write(
-            f"{step},{red_cell if arm is red else blue_cell},{reward_cell},{red_mean_cell},"
+            f"{step},{red_cell if arm is red else blue_cell},{reward_cell},{unit_cell},"
             f"{blue_mean_cell},{red_cell if preferred is red else blue_cell}\n"
         )
     return flip_step, preferred.value

@@ -4,7 +4,7 @@ Every value printed or written is exact text (series grammar or num/den
 rationals); nothing is ever formatted through floating point, so outputs
 are platform-independent and reruns with identical inputs are
 byte-identical. Exit codes: 0 success, 2 invalid input, 3 output I/O
-failure.
+failure, including a failed write to stdout such as a closed pipe.
 """
 
 from __future__ import annotations
@@ -244,13 +244,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # an in-process caller's StringIO has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[Iterable[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(None if argv is None else list(argv))
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except OutputError as exc:
         print(f"narch: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:  # reads raise InputError and --out writes OutputError
+        _discard_stdout()
+        print(f"narch: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_IO
     except (InputError, SeriesParseError, ValueError, TypeError) as exc:
         print(f"narch: invalid input: {exc}", file=sys.stderr)

@@ -27,6 +27,12 @@ from typing import Iterable, Tuple, Union
 RationalLike = Union[Fraction, int, str]
 TermPair = Tuple[int, Fraction]
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # rational := ["-"] digits ["/" digits]
+_BLANKS = "[ \t\n\r\v\f]*"  # ASCII whitespace only
+# One series term with the blanks around it. The digit runs may be empty,
+# so that parse reports a missing run at its own offset.
+_TERM = re.compile(
+    rf"{_BLANKS}(-?)([0-9]*)(?:/([0-9]*))?(?:{_BLANKS}(eps)(?:\^(-?)([0-9]*))?)?{_BLANKS}"
+)
 
 
 class Ordering(Enum):
@@ -376,67 +382,35 @@ def parse(text: str) -> LaurentSeries:
     ``term := rational ["eps^" integer]``,
     ``rational := ["-"] digits ["/" digits]``, where digits are ASCII
     ``0``-``9``; blanks between tokens are the ASCII whitespace
-    characters only; an omitted exponent means ``eps^0``. Raises
-    :class:`SeriesParseError` on malformed input.
+    characters only; an omitted exponent means ``eps^0``. Each term is
+    one match of ``_TERM``. A :class:`SeriesParseError` points at the
+    first character of a missing digit run, at the first digit of a zero
+    denominator, just after an ``eps`` without ``^``, or at a character
+    that is not a connective.
     """
-    pos = 0
-    length = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < length and text[pos] in " \t\n\r\v\f":
-            pos += 1
-
-    def read_digits(what: str) -> int:
-        nonlocal pos
-        start = pos
-        while pos < length and "0" <= text[pos] <= "9":
-            pos += 1
-        if pos == start:
-            raise SeriesParseError(f"expected {what}", start)
-        return int(text[start:pos])
-
-    def read_term(sign: int) -> tuple[int, Fraction]:
-        nonlocal pos
-        skip_ws()
-        if pos < length and text[pos] == "-":
-            sign = -sign
-            pos += 1
-        numerator = read_digits("digits")
-        denominator = 1
-        if pos < length and text[pos] == "/":
-            pos += 1
-            den_pos = pos
-            denominator = read_digits("denominator digits")
-            if denominator == 0:
-                raise SeriesParseError("denominator must be nonzero", den_pos)
-        exponent = 0
-        before_ws = pos
-        skip_ws()
-        if text.startswith("eps", pos):
-            pos += 3
-            if pos >= length or text[pos] != "^":
-                raise SeriesParseError("expected '^' after 'eps'", pos)
-            pos += 1
-            exp_sign = 1
-            if pos < length and text[pos] == "-":
-                exp_sign = -1
-                pos += 1
-            exponent = exp_sign * read_digits("exponent digits")
-        else:
-            pos = before_ws
-        return exponent, Fraction(sign * numerator, denominator)
-
-    pairs = [read_term(1)]
-    skip_ws()
-    while pos < length:
-        connective = text[pos]
-        if connective not in "+-":
-            raise SeriesParseError(f"expected '+' or '-', found {connective!r}", pos)
+    pairs, pos, sign = [], 0, 1
+    while True:
+        term = _TERM.match(text, pos)  # every part is optional: the match never fails
+        minus, num, den, eps, exp_minus, exp = term.groups()
+        if not num:
+            raise SeriesParseError("expected digits", term.start(2))
+        if den == "":
+            raise SeriesParseError("expected denominator digits", term.start(3))
+        if den is not None and not int(den):
+            raise SeriesParseError("denominator must be nonzero", term.start(3))
+        if eps and exp is None:
+            raise SeriesParseError("expected '^' after 'eps'", term.end(4))
+        if exp == "":
+            raise SeriesParseError("expected exponent digits", term.start(6))
+        exponent = int(exp_minus + exp) if eps else 0
+        pairs.append((exponent, Fraction(sign * int(minus + num), int(den or 1))))
+        pos = term.end()
+        if pos == len(text):
+            return _collect(pairs)
+        if text[pos] not in "+-":
+            raise SeriesParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
+        sign = 1 if text[pos] == "+" else -1
         pos += 1
-        pairs.append(read_term(1 if connective == "+" else -1))
-        skip_ws()
-    return _collect(pairs)
 
 
 def format_series(a: LaurentSeries) -> str:

@@ -1,15 +1,26 @@
-"""The kernel's earlier accumulator and comparison: one dict loop per
-operation and a separate term walk for ``compare``.
+"""The kernel's earlier accumulator, comparison and series scanner: one
+dict loop per operation, a separate term walk for ``compare``, and a
+character-by-character ``parse``.
 
-The library now sums every operation's terms in one accumulator and
-decides ``compare`` with the ``compare_scaled`` walk; the differential
-tests in ``test_laurent.py`` check the two against each other.
+The library now sums every operation's terms in one accumulator, decides
+``compare`` with the ``compare_scaled`` walk, and reads each series term
+as one match of a compiled pattern. The differential tests in
+``test_laurent.py`` check each pair against each other; for ``parse``
+they compare the series, or the error message and its position.
 """
 
 from fractions import Fraction
 from typing import Iterable
 
-from narch.laurent import LaurentSeries, Ordering, RationalLike, _raw, as_rational
+from narch.laurent import (
+    LaurentSeries,
+    Ordering,
+    RationalLike,
+    SeriesParseError,
+    _collect,
+    _raw,
+    as_rational,
+)
 
 
 def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
@@ -84,3 +95,73 @@ def compare(a: LaurentSeries, b: LaurentSeries) -> Ordering:
     if j < len(tb):
         return Ordering.LESS if tb[j][1] > 0 else Ordering.GREATER
     return Ordering.EQUAL
+
+
+def parse(text: str) -> LaurentSeries:
+    """Parse series text such as ``5 eps^-1 + 2 eps^3`` or ``0``, one character at a time.
+
+    Grammar: ``series := term (("+" | "-") term)*``,
+    ``term := rational ["eps^" integer]``,
+    ``rational := ["-"] digits ["/" digits]``, where digits are ASCII
+    ``0``-``9``; blanks between tokens are the ASCII whitespace
+    characters only; an omitted exponent means ``eps^0``. Raises
+    :class:`SeriesParseError` on malformed input.
+    """
+    pos = 0
+    length = len(text)
+
+    def skip_ws() -> None:
+        nonlocal pos
+        while pos < length and text[pos] in " \t\n\r\v\f":
+            pos += 1
+
+    def read_digits(what: str) -> int:
+        nonlocal pos
+        start = pos
+        while pos < length and "0" <= text[pos] <= "9":
+            pos += 1
+        if pos == start:
+            raise SeriesParseError(f"expected {what}", start)
+        return int(text[start:pos])
+
+    def read_term(sign: int) -> tuple[int, Fraction]:
+        nonlocal pos
+        skip_ws()
+        if pos < length and text[pos] == "-":
+            sign = -sign
+            pos += 1
+        numerator = read_digits("digits")
+        denominator = 1
+        if pos < length and text[pos] == "/":
+            pos += 1
+            den_pos = pos
+            denominator = read_digits("denominator digits")
+            if denominator == 0:
+                raise SeriesParseError("denominator must be nonzero", den_pos)
+        exponent = 0
+        before_ws = pos
+        skip_ws()
+        if text.startswith("eps", pos):
+            pos += 3
+            if pos >= length or text[pos] != "^":
+                raise SeriesParseError("expected '^' after 'eps'", pos)
+            pos += 1
+            exp_sign = 1
+            if pos < length and text[pos] == "-":
+                exp_sign = -1
+                pos += 1
+            exponent = exp_sign * read_digits("exponent digits")
+        else:
+            pos = before_ws
+        return exponent, Fraction(sign * numerator, denominator)
+
+    pairs = [read_term(1)]
+    skip_ws()
+    while pos < length:
+        connective = text[pos]
+        if connective not in "+-":
+            raise SeriesParseError(f"expected '+' or '-', found {connective!r}", pos)
+        pos += 1
+        pairs.append(read_term(1 if connective == "+" else -1))
+        skip_ws()
+    return _collect(pairs)

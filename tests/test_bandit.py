@@ -17,7 +17,6 @@ from narch.bandit import (
     first_flip,
     is_power_of_two,
     mean_compare,
-    mean_text,
     reward_text,
     scripted_eval,
 )
@@ -154,14 +153,11 @@ class TestSampleCounts:
             mean_compare(Fraction(1), 1, Fraction(1), count)
         with pytest.raises(TypeError):
             exact_mean(Fraction(1), count)
-        with pytest.raises(TypeError):
-            mean_text(Fraction(3), count)
 
     def test_counts_below_one_rejected(self):
         for call in (
             lambda: mean_compare(Fraction(1), 1, Fraction(1), -1),
             lambda: exact_mean(Fraction(1), 0),
-            lambda: mean_text(Fraction(1), -2),
         ):
             with pytest.raises(ValueError):
                 call()

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -25,7 +26,7 @@ from narch.measurement import (
     structure_to_json,
 )
 
-from .conftest import REPO_ROOT
+from .conftest import REPO_ROOT, SRC
 
 
 def read_csv(path):
@@ -149,6 +150,39 @@ class TestDeepJson:
         path = _deep_json(tmp_path / "deep.json")
         self._assert_input_error(narch_cli("bandit", "--config", path, "--out", str(out)))
         assert not out.exists()
+
+
+def _cli_with_stdout(stdout, *args):
+    """A CLI subprocess writing its stdout to ``stdout``, with stderr piped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "narch", *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+class TestStdoutFailure:
+    def _assert_io_error(self, proc):
+        stderr = proc.stderr.read()
+        assert proc.wait() == 3
+        assert stderr.startswith("narch: cannot write stdout:")
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_3(self):
+        with open("/dev/full", "w") as full:
+            proc = _cli_with_stdout(full, "compare", "--lhs", "1", "--rhs", "0")
+        self._assert_io_error(proc)
+
+    def test_closed_pipe_exits_3(self):
+        proc = _cli_with_stdout(
+            subprocess.PIPE, "measure", "feasible-top", "--n-max", "200000", "--r", "1"
+        )
+        assert proc.stdout.readline() == "n,min_top\n"
+        proc.stdout.close()
+        self._assert_io_error(proc)
 
 
 class TestMeasure:

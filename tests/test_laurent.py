@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narch.laurent import (
@@ -403,3 +404,68 @@ class TestAgainstReference:
             for x, y in pairs:
                 assert compare(x, y) is reference.compare(x, y)
         assert min(seen.values()) > 100, seen
+
+
+# The grammar's tokens, and characters that str.isspace() or str.isdigit()
+# accept but the grammar does not.
+PARSE_TOKENS = [
+    *"0123456789", "-", "+", "/", "eps", "eps^", "^", " ", "\t", "\n", "\r", "\v", "\f",
+    "x", "\u3000", "\u00a0", "\u0663", "\u00b2", "\x1c",
+]
+
+
+@st.composite
+def _series_texts(draw):
+    """A string of grammar tokens, or a formatted series with one token spliced in."""
+    tokens = st.sampled_from(PARSE_TOKENS)
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(tokens, max_size=16)))
+    text = format_series(draw(series()))
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] + draw(tokens) + text[cut:]
+
+
+def _parse_outcome(parser, text):
+    """The parsed terms, or the error's message and position."""
+    try:
+        return parser(text).terms
+    except SeriesParseError as exc:
+        return str(exc), exc.position
+
+
+class TestParseAgainstReference:
+    """The one-pattern parse against the earlier character scanner."""
+
+    @settings(max_examples=2000)
+    @given(_series_texts())
+    def test_same_series_or_same_error(self, text):
+        assert _parse_outcome(parse, text) == _parse_outcome(reference.parse, text)
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("1 + eps^2", "expected digits", 4),
+            ("1/ eps^2", "expected denominator digits", 2),
+            ("3 + 1/00", "denominator must be nonzero", 6),
+            ("1 eps2", "expected '^' after 'eps'", 5),
+            ("1 eps^-x", "expected exponent digits", 7),
+            ("1 eps^2 x", "expected '+' or '-', found 'x'", 8),
+        ],
+    )
+    def test_each_error_and_its_position(self, text, message, position):
+        expected = (f"{message} (at position {position})", position)
+        assert _parse_outcome(parse, text) == expected
+        assert _parse_outcome(reference.parse, text) == expected
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("1" + " " * 200_000 + "x", 200_001), (" " * 200_000 + "x", 200_000),
+         ("1" + " " * 200_000 + "eps", 200_004)],
+        ids=["connective", "digits", "caret"],
+    )
+    def test_long_blank_run_is_linear(self, text, position):
+        start = time.perf_counter()
+        with pytest.raises(SeriesParseError) as info:
+            parse(text)
+        assert time.perf_counter() - start < 2.0
+        assert info.value.position == position

@@ -6,22 +6,18 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from narch import cli
 from narch.bandit import (
     RewardScheme,
     crossover_step,
     exact_mean,
-    mean_text,
     reward_text,
     scripted_eval,
 )
-from narch.laurent import LaurentSeries, Ordering
+from narch.laurent import Ordering
 
 from .reference_bandit import stepwise_scripted_eval, value_types
-from .strategies import series
 
 APPROX = [Fraction(1000), Fraction(7, 2), Fraction(7, 3), Fraction(1, 2)]
 SCHEMES = [RewardScheme.exact_laurent()] + [
@@ -103,22 +99,3 @@ def test_cli_flip_step_is_crossover_step(tmp_path, m):
     summary = _cli_summary(tmp_path, f"approx:{m}", flip + 5)
     assert summary["flip_step"] == flip
     assert summary["final_preference"] == "red"
-
-
-class TestMeanText:
-    @given(st.fractions(max_denominator=50), st.integers(1, 10_000))
-    def test_rational_matches_exact_mean(self, total, count):
-        assert mean_text(total, count) == reward_text(exact_mean(total, count))
-
-    @given(series(), st.integers(1, 500))
-    def test_series_matches_exact_mean(self, total, count):
-        assert mean_text(total, count) == reward_text(exact_mean(total, count))
-
-    def test_examples(self):
-        assert mean_text(Fraction(3000), 4) == "750"
-        assert mean_text(Fraction(7, 3), 2) == "7/6"
-        assert mean_text(LaurentSeries(((-1, Fraction(3)),)), 6) == "1/2 eps^-1"
-
-    def test_rejects_zero_count(self):
-        with pytest.raises(ValueError):
-            mean_text(Fraction(1), 0)
