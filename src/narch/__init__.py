@@ -63,17 +63,14 @@ from .bandit import (
     EnvState,
     EpsilonGreedyResult,
     PullRow,
-    PullState,
     RewardScheme,
     RunConfig,
     ScriptedRound,
     crossover_step,
     env_step,
-    epsilon_greedy_pulls,
     epsilon_greedy_run,
     exact_mean,
     first_flip,
-    is_power_of_two,
     mean_compare,
     reward_text,
     scripted_eval,

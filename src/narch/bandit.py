@@ -13,8 +13,8 @@ which is defined for both rational and Laurent sums, or, against the red
 mean of one unit, as a sum against its count. Under the exact
 scheme the blue mean keeps an infinite component and never falls below the
 red mean; under a static approximation it provably does, at a press count
-computed by :func:`first_flip`. :func:`write_trace` writes the CLI's
-trace rows of a run straight from these closed forms.
+computed by :func:`first_flip`. :func:`write_trace` writes the whole
+trace CSV of a run, header row included, straight from these closed forms.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ _LAURENT_JACKPOT = monomial(1, -1)
 _RATIONAL_ZERO = Fraction(0)
 _RATIONAL_UNIT = Fraction(1)
 _CHUNK_ROWS = 4096  # scripted rows joined per write: memory stays flat in --steps
+_TRACE_HEADER = "step,arm,reward,red_mean,blue_mean,preferred\n"
 
 
 class Arm(Enum):
@@ -88,11 +89,11 @@ class RewardScheme:
 
     @classmethod
     def static_approx(cls, m: RationalLike) -> "RewardScheme":
-        return cls(KIND_STATIC, as_rational(m))
+        return cls(KIND_STATIC, m)
 
     @classmethod
     def dynamic_approx(cls, m: RationalLike) -> "RewardScheme":
-        return cls(KIND_DYNAMIC, as_rational(m))
+        return cls(KIND_DYNAMIC, m)
 
     @classmethod
     def parse(cls, text: str) -> "RewardScheme":
@@ -101,7 +102,7 @@ class RewardScheme:
             return cls.exact_laurent()
         for prefix, kind in (("approx:", KIND_STATIC), ("dynamic:", KIND_DYNAMIC)):
             if text.startswith(prefix):
-                return cls(kind, as_rational(text[len(prefix):]))
+                return cls(kind, text[len(prefix):])
         raise ValueError(f"unknown scheme {text!r} (expected laurent, approx:<M> or dynamic:<M>)")
 
     def text(self) -> str:
@@ -137,12 +138,6 @@ class EnvState:
             raise ValueError("blue press count must lie in [0, step_count]")
 
 
-def is_power_of_two(i: int) -> bool:
-    if i < 1:
-        raise ValueError("press count must be positive")
-    return i & (i - 1) == 0
-
-
 def env_step(
     state: EnvState, action: Arm, scheme: RewardScheme
 ) -> tuple[EnvState, RewardValue]:
@@ -151,7 +146,7 @@ def env_step(
         return EnvState(state.blue_presses, state.step_count + 1), scheme.unit()
     presses = state.blue_presses + 1
     new_state = EnvState(presses, state.step_count + 1)
-    if is_power_of_two(presses):
+    if presses & (presses - 1) == 0:
         return new_state, scheme.jackpot(presses.bit_length() - 1)
     return new_state, scheme.zero()
 
@@ -213,6 +208,11 @@ def _bands(n: int, scheme: RewardScheme) -> Iterator[tuple[int, int, RewardValue
         yield first, last, jackpot, num, den, last if laurent else min(last, (num - 1) // den)
 
 
+def _blue_total(scheme: RewardScheme, num: int, den: int) -> RewardValue:
+    """The blue total num/den of :func:`_bands` as a reward value (den is 1 for Laurent)."""
+    return monomial(num, -1) if scheme.kind == KIND_LAURENT else Fraction(num, den)
+
+
 def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
     """Paired deterministic run: one red and one blue press per round.
 
@@ -231,11 +231,10 @@ def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
         raise ValueError("round count must be positive")
 
     def rounds() -> Iterator[ScriptedRound]:
-        laurent = scheme.kind == KIND_LAURENT
-        red_total = (lambda step: monomial(step, 0)) if laurent else Fraction
+        red_total = (lambda step: monomial(step, 0)) if scheme.kind == KIND_LAURENT else Fraction
         zero = scheme.zero()
         for first, last, reward, num, den, blue_last in _bands(n, scheme):
-            blue_sum = monomial(num, -1) if laurent else Fraction(num, den)
+            blue_sum = _blue_total(scheme, num, den)
             for step in range(first, last + 1):
                 blue_vs_red = (
                     Ordering.GREATER if step <= blue_last
@@ -294,11 +293,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        epsilon = as_rational(self.epsilon)  # a non-rational is reported before any other fault
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if _integer(self.steps, "steps") < 1:
             raise ValueError("steps must be positive")
-        epsilon = as_rational(self.epsilon)
         if not Fraction(0) <= epsilon <= Fraction(1):
             raise ValueError("epsilon must lie in [0, 1]")
         object.__setattr__(self, "epsilon", epsilon)
@@ -315,21 +314,6 @@ class PullRow(NamedTuple):
     preferred: Arm
 
 
-class PullState(NamedTuple):
-    """One epsilon-greedy pull and the arm state after it.
-
-    The red arm has been pulled ``step - blue_pulls`` times, always at
-    least once, and pays one unit per pull, so its mean is one unit.
-    """
-
-    step: int
-    arm: Arm
-    reward: RewardValue
-    blue_pulls: int
-    blue_sum: RewardValue
-    preferred: Arm
-
-
 @dataclass(frozen=True)
 class EpsilonGreedyResult:
     config: RunConfig
@@ -341,7 +325,7 @@ class EpsilonGreedyResult:
     trace: tuple[PullRow, ...]
 
 
-def epsilon_greedy_pulls(config: RunConfig) -> Iterator[PullState]:
+def _pulls(config: RunConfig) -> Iterator[tuple[int, Arm, RewardValue, int, int, int, Arm]]:
     """Deterministic epsilon-greedy run over the two arms, one pull at a time.
 
     Pulls red then blue once, and from then on explores uniformly with
@@ -353,30 +337,25 @@ def epsilon_greedy_pulls(config: RunConfig) -> Iterator[PullState]:
     computed per run), and one more draw for the arm of an exploring step.
     Equal configs give identical pulls.
 
-    The means are never built. The red mean is one unit, so blue is
-    greedy iff its sum exceeds blue_pulls units, and that sum changes only
-    on the power-of-two presses that pay a jackpot. So the blue pulls walk
-    the bands of :func:`_bands`: each jackpot press takes the next band's
-    jackpot and total, and blue stays greedy up to its ``blue_last``.
-    Yields lazily; memory does not depend on the step count.
+    Yields ``(step, arm, reward, blue_pulls, num, den, preferred)`` per
+    pull, where num/den is the blue total in the integers of :func:`_bands`
+    (0/1 before the first blue pull). The means are never built. The red
+    mean is one unit, so blue is greedy iff its total exceeds blue_pulls
+    units, and that total changes only on the power-of-two presses that
+    pay a jackpot. So the blue pulls walk the bands: each jackpot press
+    takes the next band's jackpot and total, and blue stays greedy up to
+    its ``blue_last``. Yields lazily; memory does not depend on the step
+    count.
     """
-    if config.mode != MODE_EGREEDY:
-        raise ValueError("config.mode must be 'egreedy'")
-    return map(PullState._make, _pulls(config))
-
-
-def _pulls(config: RunConfig) -> Iterator[tuple]:
-    # the pulls of epsilon_greedy_pulls as plain tuples, so a trace row builds no PullState
     scheme = config.scheme
-    laurent = scheme.kind == KIND_LAURENT
     explore = _threshold(config.epsilon)
     next_u64 = Xorshift64Star(config.seed).next_u64
     red, blue = Arm.RED, Arm.BLUE
     unit, zero = scheme.unit(), scheme.zero()
     # blue is pulled at most steps - 1 times, so these bands cover every pull
     bands = _bands(config.steps, scheme)
-    blue_pulls = blue_last = 0
-    blue_sum = zero
+    blue_pulls = blue_last = num = 0
+    den = 1
     preferred = red
     for step in range(1, config.steps + 1):
         if step <= 2:
@@ -393,22 +372,22 @@ def _pulls(config: RunConfig) -> Iterator[tuple]:
                 reward = zero
             else:
                 _, _, reward, num, den, blue_last = next(bands)
-                blue_sum = monomial(num, -1) if laurent else Fraction(num, den)
             # a red pull moves neither the blue mean nor the unit red mean
             preferred = blue if blue_pulls <= blue_last else red
-        yield step, arm, reward, blue_pulls, blue_sum, preferred
+        yield step, arm, reward, blue_pulls, num, den, preferred
 
 
 def epsilon_greedy_run(config: RunConfig) -> EpsilonGreedyResult:
-    """The whole run of :func:`epsilon_greedy_pulls`, with exact means per pull."""
+    """The whole run of :func:`_pulls`, with exact means per pull."""
+    if config.mode != MODE_EGREEDY:
+        raise ValueError("config.mode must be 'egreedy'")
     scheme = config.scheme
     red_mean = scheme.unit()
     blue_mean = None
-    blue_pulls, blue_sum, preferred = 0, scheme.zero(), Arm.RED
     rows = []
-    for step, arm, reward, blue_pulls, blue_sum, preferred in epsilon_greedy_pulls(config):
+    for step, arm, reward, blue_pulls, num, den, preferred in _pulls(config):
         if arm is Arm.BLUE:
-            blue_mean = exact_mean(blue_sum, blue_pulls)
+            blue_mean = exact_mean(_blue_total(scheme, num, den), blue_pulls)
         rows.append(PullRow(step, arm, reward, red_mean, blue_mean, preferred))
     red_pulls = config.steps - blue_pulls
     return EpsilonGreedyResult(
@@ -416,7 +395,7 @@ def epsilon_greedy_run(config: RunConfig) -> EpsilonGreedyResult:
         red_pulls=red_pulls,
         blue_pulls=blue_pulls,
         red_sum=red_pulls * red_mean,
-        blue_sum=blue_sum,
+        blue_sum=_blue_total(scheme, num, den),
         final_greedy=preferred,
         trace=tuple(rows),
     )
@@ -437,21 +416,15 @@ def _ratio_text(numerator: int, denominator: int, suffix: str = "") -> str:
     return f"{numerator // divisor}/{denominator // divisor}{suffix}"
 
 
-def _scripted_rows(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
+def _scripted_rows(
+    config: RunConfig, out: TextIO, zero_cell: str, unit_cell: str, suffix: str
+) -> tuple[Optional[int], str]:
     scheme = config.scheme
     blue, red = Arm.BLUE.value, Arm.RED.value
-    zero_cell = reward_text(scheme.zero())
-    # k units over k presses: the red mean is one unit in every round
-    red_cell = reward_text(scheme.unit())
-    # a Laurent blue total is num eps^-1
-    suffix = " eps^-1" if scheme.kind == KIND_LAURENT else ""
-    middle = f",{blue},{zero_cell},{red_cell},"  # the cells between step and blue mean
-    jackpot_cells = {}  # the Laurent and static jackpots repeat in every band
+    middle = f",{blue},{zero_cell},{unit_cell},"  # the cells between step and blue mean
     for first, last, jackpot, num, den, blue_last in _bands(config.steps, scheme):
-        if jackpot not in jackpot_cells:
-            jackpot_cells[jackpot] = reward_text(jackpot)
         out.write(
-            f"{first},{blue},{jackpot_cells[jackpot]},{red_cell},"
+            f"{first},{blue},{reward_text(jackpot)},{unit_cell},"
             f"{_ratio_text(num, den * first, suffix)},{blue if first <= blue_last else red}\n"
         )
         # the band's other rows, one gcd each: a blue run, then a red run
@@ -466,25 +439,19 @@ def _scripted_rows(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
     return first_flip(scheme, config.steps), blue if last <= blue_last else red
 
 
-def _egreedy_rows(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
-    scheme = config.scheme
-    laurent = scheme.kind == KIND_LAURENT
+def _egreedy_rows(
+    config: RunConfig, out: TextIO, zero_cell: str, unit_cell: str, suffix: str
+) -> tuple[Optional[int], str]:
     red, blue = Arm.RED, Arm.BLUE
     red_cell, blue_cell = red.value, blue.value
-    zero = scheme.zero()
-    # the red arm pays one unit per pull: its mean is one unit in every row
-    unit_cell, zero_cell = reward_text(scheme.unit()), reward_text(zero)
-    suffix = " eps^-1" if laurent else ""
+    zero = config.scheme.zero()
     blue_mean_cell = ""
     flip_step = None
     previous = preferred = red
-    for step, arm, reward, blue_pulls, blue_sum, preferred in _pulls(config):
+    for step, arm, reward, blue_pulls, num, den, preferred in _pulls(config):
         if arm is red:
             reward_cell = unit_cell
         else:
-            if reward is not zero:  # a jackpot moves the blue total num/den (x eps^-1 if Laurent)
-                total = blue_sum.terms[0][1] if laurent else blue_sum
-                num, den = total.numerator, total.denominator
             reward_cell = zero_cell if reward is zero else reward_text(reward)
             blue_mean_cell = _ratio_text(num, den * blue_pulls, suffix)
         if previous is blue and preferred is red and flip_step is None:
@@ -498,12 +465,18 @@ def _egreedy_rows(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
 
 
 def write_trace(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
-    """Write a run's trace rows as comma-joined CSV lines to the text handle ``out``.
+    """Write a run's trace CSV, header row first, to the text handle ``out``.
 
-    No cell can hold a comma, a quote or a newline. Scripted rows come from
-    the bands of :func:`_bands`, each blue or red run joined in chunks of at
-    most 4,096 rows; epsilon-greedy rows from :func:`epsilon_greedy_pulls`,
-    one line per pull. Returns the flip step (or None) and the final preference.
+    Lines are comma-joined cells ending in LF; no cell can hold a comma, a
+    quote or a newline. Scripted rows come from the bands of
+    :func:`_bands`, each blue or red run joined in chunks of at most 4,096
+    rows; epsilon-greedy rows from :func:`_pulls`, one line per pull.
+    Returns the flip step (or None) and the final preference.
     """
+    scheme = config.scheme
+    out.write(_TRACE_HEADER)
     write_rows = _scripted_rows if config.mode == MODE_SCRIPTED else _egreedy_rows
-    return write_rows(config, out)
+    # cells fixed for the whole run: a zero reward, the red mean of one unit
+    # (k units over k pulls), and the unit of a blue mean, eps^-1 for Laurent
+    suffix = " eps^-1" if scheme.kind == KIND_LAURENT else ""
+    return write_rows(config, out, reward_text(scheme.zero()), reward_text(scheme.unit()), suffix)

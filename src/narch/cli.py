@@ -31,9 +31,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-CSV_HEADER = ["step", "arm", "reward", "red_mean", "blue_mean", "preferred"]
-
-
 class InputError(Exception):
     pass
 
@@ -42,12 +39,18 @@ class OutputError(Exception):
     pass
 
 
-def _load_json_file(path: str) -> object:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json_file(path: str) -> object:
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
@@ -131,12 +134,9 @@ def _cmd_measure_feasible_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_plateau(args: argparse.Namespace) -> int:
-    try:
-        with open(args.seq, "r", encoding="utf-8") as handle:
-            raw_lines = [line.strip() for line in handle]
-    except OSError as exc:
-        raise InputError(f"cannot read {args.seq}: {exc}") from exc
-    seq = [as_rational(line) for line in raw_lines if line]
+    # split on LF only: str.splitlines would also split inside a line at \f, \v or \x1c
+    lines = [line.strip() for line in _read_text(args.seq).split("\n")]
+    seq = [as_rational(line) for line in lines if line]
     index = diminishing_returns_index(seq, as_rational(args.tol))
     print(json.dumps({"index": index}))
     return EXIT_OK
@@ -167,7 +167,7 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
         scheme=scheme,
         mode=str(values["mode"]),
         steps=values["steps"],
-        epsilon=as_rational(values.get("epsilon", 0)),
+        epsilon=values.get("epsilon", 0),
         seed=values.get("seed", 0),
     )
 
@@ -175,7 +175,6 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
 def _cmd_bandit(args: argparse.Namespace) -> int:
     config = _bandit_config(args)
     with _text_output(args.out) as out:
-        out.write(",".join(CSV_HEADER) + "\n")
         flip_step, final_preference = write_trace(config, out)
     summary = {
         "scheme": config.scheme.text(),

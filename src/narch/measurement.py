@@ -204,7 +204,7 @@ def assignment_from_json(obj: object) -> MeasurementAssignment:
     values = obj["values"]
     if not isinstance(values, dict):
         raise ValueError("'values' must map labels to rationals")
-    return MeasurementAssignment(values=values, threshold=SigThreshold(as_rational(obj["r"])))
+    return MeasurementAssignment(values=values, threshold=SigThreshold(obj["r"]))
 
 
 def structure_to_json(structure: FiniteSigStructure) -> dict:

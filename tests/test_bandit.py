@@ -11,11 +11,9 @@ from narch.bandit import (
     RunConfig,
     crossover_step,
     env_step,
-    epsilon_greedy_pulls,
     epsilon_greedy_run,
     exact_mean,
     first_flip,
-    is_power_of_two,
     mean_compare,
     reward_text,
     scripted_eval,
@@ -86,15 +84,6 @@ class TestEnvStep:
 
 
 class TestPowersOfTwo:
-    def test_examples(self):
-        assert is_power_of_two(1)
-        assert not is_power_of_two(6)
-        assert is_power_of_two(1024)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            is_power_of_two(0)
-
     def test_schedule_invariant(self):
         # nonzero blue rewards after n presses == floor(log2 n) + 1
         scheme = RewardScheme.static_approx(7)
@@ -333,7 +322,7 @@ class TestEpsilonGreedy:
         draws = Xorshift64Star(seed)
         explored = 0
         previous = None
-        for pull in epsilon_greedy_pulls(config):
+        for pull in epsilon_greedy_run(config).trace:
             if pull.step >= 3:
                 if draws.next_u64() * epsilon.denominator < epsilon.numerator * 2**64:
                     explored += 1

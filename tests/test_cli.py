@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import narch.bandit
 import narch.cli
-from narch.bandit import _bands
+from narch.bandit import RewardScheme, RunConfig, _bands, write_trace
 from narch.laurent import ZERO, parse, scalar_mul
 from narch.measurement import (
     MeasurementAssignment,
@@ -150,6 +150,34 @@ class TestDeepJson:
         path = _deep_json(tmp_path / "deep.json")
         self._assert_input_error(narch_cli("bandit", "--config", path, "--out", str(out)))
         assert not out.exists()
+
+
+class TestUndecodableFile:
+    """A file that is not UTF-8 exits 2 with its path named, whichever command reads it."""
+
+    @pytest.mark.parametrize("command", [
+        ["measure", "check", "--input"],
+        ["bandit", "--out", "{tmp}/trace.csv", "--config"],
+        ["measure", "plateau", "--tol", "1/2", "--seq"],
+    ], ids=["check", "bandit", "plateau"])
+    def test_bad_byte_exits_2_naming_the_file(self, tmp_path, command):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff")
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        code, stdout, stderr = _run_in_process([*argv, str(path)])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"narch: invalid input: cannot read {path}: ")
+        assert "Traceback" not in stderr
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_plateau_splits_lines_on_lf_only(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("0\n1\x0c2\n3\n", encoding="utf-8")
+        code, stdout, stderr = _run_in_process(
+            ["measure", "plateau", "--seq", str(path), "--tol", "1/2"]
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "narch: invalid input: not a rational: '1\\x0c2'\n"
 
 
 def _cli_with_stdout(stdout, *args):
@@ -376,6 +404,23 @@ class TestBandit:
         )
         assert json.loads(result.stdout)["steps"] == 7
         assert len(read_csv(out)) == 8
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(RewardScheme.parse("approx:7/2"), "scripted", 300),
+        RunConfig(RewardScheme.parse("laurent"), "egreedy", 300, Fraction(1, 10), 42),
+    ], ids=["scripted", "egreedy"])
+    def test_write_trace_is_the_whole_out_file(self, tmp_path, config):
+        out = tmp_path / "trace.csv"
+        code, _, _ = _run_in_process([
+            "bandit", "--scheme", config.scheme.text(), "--mode", config.mode,
+            "--steps", str(config.steps), "--epsilon", str(config.epsilon),
+            "--seed", str(config.seed), "--out", str(out),
+        ])
+        assert code == 0
+        buffer = io.StringIO()
+        write_trace(config, buffer)
+        assert buffer.getvalue().startswith("step,arm,reward,red_mean,blue_mean,preferred\n")
+        assert out.read_bytes() == buffer.getvalue().encode()
 
     def test_invalid_scheme_exits_2(self, narch_cli, tmp_path):
         result = narch_cli(

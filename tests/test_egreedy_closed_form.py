@@ -17,7 +17,6 @@ from narch.bandit import (
     EpsilonGreedyResult,
     RewardScheme,
     RunConfig,
-    epsilon_greedy_pulls,
     epsilon_greedy_run,
     reward_text,
 )
@@ -56,9 +55,11 @@ def _assert_same_run(got: EpsilonGreedyResult, want: EpsilonGreedyResult) -> Non
 @pytest.mark.parametrize("epsilon", EPSILONS, ids=[str(e) for e in EPSILONS])
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.text() for s in SCHEMES])
 def test_run_matches_stepwise_reference(scheme, epsilon):
-    for seed in SEEDS:
-        config = _config(scheme, epsilon, seed, 1500)
-        _assert_same_run(epsilon_greedy_run(config), stepwise_epsilon_greedy_run(config))
+    # steps 1 and 2 end before and at the first blue pull
+    for steps in (1, 2, 1500):
+        for seed in SEEDS:
+            config = _config(scheme, epsilon, seed, steps)
+            _assert_same_run(epsilon_greedy_run(config), stepwise_epsilon_greedy_run(config))
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,18 +94,6 @@ def test_same_draws_as_reference(monkeypatch, epsilon):
     assert len(got) >= 798
 
 
-def test_pulls_are_lazy():
-    pulls = epsilon_greedy_pulls(_config(SCHEMES[0], Fraction(1, 10), 7, 10**15))
-    first = [next(pulls) for _ in range(3)]
-    assert [pull.arm for pull in first[:2]] == [Arm.RED, Arm.BLUE]
-    assert [pull.blue_pulls for pull in first[:2]] == [0, 1]
-
-
-def test_pulls_reject_scripted_config_eagerly():
-    with pytest.raises(ValueError):
-        epsilon_greedy_pulls(RunConfig(scheme=SCHEMES[0], mode="scripted", steps=5))
-
-
 def _flip_step(trace):
     previous = None
     for row in trace:
@@ -134,7 +123,7 @@ def test_cli_cells_match_reference_values(tmp_path, scheme, epsilon):
 
     with open(out, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == cli.CSV_HEADER
+    assert rows[0] == ["step", "arm", "reward", "red_mean", "blue_mean", "preferred"]
     assert rows[1:] == [
         [str(row.step), row.arm.value, reward_text(row.reward), cell(row.red_mean),
          cell(row.blue_mean), row.preferred.value]

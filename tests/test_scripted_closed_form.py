@@ -67,7 +67,7 @@ CLI_STEPS = [1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025, 5000]
 
 def _stepwise_cli_output(n: int, scheme: RewardScheme) -> tuple[str, dict]:
     """The CSV and summary that the reference run implies, row by row."""
-    lines = [",".join(cli.CSV_HEADER)]
+    lines = ["step,arm,reward,red_mean,blue_mean,preferred"]
     flip_step, preferred = None, "red"
     for step, reward, red_sum, blue_sum, blue_vs_red in stepwise_scripted_eval(n, scheme):
         preferred = "blue" if blue_vs_red is Ordering.GREATER else "red"
