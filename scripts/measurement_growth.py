@@ -14,6 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from narch.laurent import as_rational
 from narch.measurement import diminishing_returns_index, min_feasible_top
 
 
@@ -22,20 +23,20 @@ def main() -> int:
     parser.add_argument("--r", default="1", help="threshold (rational)")
     parser.add_argument("--tol", default="1/100", help="plateau tolerance (rational)")
     args = parser.parse_args()
-    r = Fraction(args.r)
-    tol = Fraction(args.tol)
+    lengths = [0] + [2**k for k in range(13)]  # up to 4096
+    bounded = [1 - Fraction(1, 2**i) for i in range(40)]
+    try:  # read like the CLI's rationals; a bad value exits 2 before any output
+        r = as_rational(args.r)
+        tol = as_rational(args.tol)
+        tops = [min_feasible_top(length, r) for length in lengths]
+        index = diminishing_returns_index(bounded, tol)
+    except ValueError as exc:
+        print(f"measurement_growth: invalid input: {exc}", file=sys.stderr)
+        return 2
 
     print(f"minimum feasible top (threshold r = {r}):")
-    n = 1
-    lengths = [0]
-    while n <= 4096:
-        lengths.append(n)
-        n *= 2
-    for length in lengths:
-        print(f"  chain index {length:>5}: {min_feasible_top(length, r)}")
-
-    bounded = [1 - Fraction(1, 2**i) for i in range(40)]
-    index = diminishing_returns_index(bounded, tol)
+    for length, top in zip(lengths, tops):
+        print(f"  chain index {length:>5}: {top}")
     print(f"\nbounded measurement 1 - 2^-i plateaus at index {index} (tolerance {tol})")
     return 0
 

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from typing import ContextManager, Iterable, Iterator, Optional, TextIO
 
@@ -37,6 +38,16 @@ class InputError(Exception):
 
 class OutputError(Exception):
     pass
+
+
+def _integer_flag(text: str) -> int:
+    """The grammar's ``["-"] digits`` in ASCII; ``int`` would also read ``1_0`` or ``٢``."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int-from-text digit limit
+        raise argparse.ArgumentTypeError(f"too many digits: {len(text)}") from None
 
 
 def _read_text(path: str) -> str:
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "witness", help="emit and verify a trapped-chain witness prefix"
     )
     p_witness.add_argument("--r", required=True, help="positive rational threshold")
-    p_witness.add_argument("--n", required=True, type=int, help="prefix length")
+    p_witness.add_argument("--n", required=True, type=_integer_flag, help="prefix length")
     p_witness.set_defaults(handler=_cmd_witness)
 
     p_measure = sub.add_parser("measure", help="measurement accuracy analyses")
@@ -217,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_feasible = measure_sub.add_parser(
         "feasible-top", help="CSV of minimum feasible top values over a chain-length range"
     )
-    p_feasible.add_argument("--n-min", type=int, default=0)
-    p_feasible.add_argument("--n-max", type=int, required=True)
+    p_feasible.add_argument("--n-min", type=_integer_flag, default=0)
+    p_feasible.add_argument("--n-max", type=_integer_flag, required=True)
     p_feasible.add_argument("--r", required=True, help="positive rational threshold")
     p_feasible.add_argument("--out", default=None, help="output file (default stdout)")
     p_feasible.set_defaults(handler=_cmd_measure_feasible_top)
@@ -233,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bandit = sub.add_parser("bandit", help="run the delayed-gratification environment")
     p_bandit.add_argument("--scheme", default=None, help="laurent | approx:<M> | dynamic:<M>")
     p_bandit.add_argument("--mode", default=None, choices=[MODE_SCRIPTED, MODE_EGREEDY])
-    p_bandit.add_argument("--steps", type=int, default=None)
+    p_bandit.add_argument("--steps", type=_integer_flag, default=None)
     p_bandit.add_argument("--epsilon", default=None, help="exploration probability (rational)")
-    p_bandit.add_argument("--seed", type=int, default=None, help="64-bit generator seed")
+    p_bandit.add_argument("--seed", type=_integer_flag, default=None, help="64-bit generator seed")
     p_bandit.add_argument("--config", default=None, help="JSON file providing the options above")
     p_bandit.add_argument("--out", required=True, help="trace CSV output path")
     p_bandit.set_defaults(handler=_cmd_bandit)

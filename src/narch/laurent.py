@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -43,11 +44,12 @@ class Ordering(Enum):
     GREATER = "greater"
 
 
+@total_ordering
 class PlusInfinity:
     """Order marker for the zero series.
 
-    Compares strictly greater than every integer and equal to itself, and
-    absorbs integer addition.
+    Greater than every integer and equal to itself, stated once in ``__lt__``
+    (``total_ordering`` derives the rest); absorbs integer addition.
     """
 
     _instance: "PlusInfinity | None" = None
@@ -69,25 +71,6 @@ class PlusInfinity:
     def __lt__(self, other: object):
         if isinstance(other, (int, PlusInfinity)):
             return False
-        return NotImplemented
-
-    def __le__(self, other: object):
-        if isinstance(other, PlusInfinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other: object):
-        if isinstance(other, PlusInfinity):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other: object):
-        if isinstance(other, (int, PlusInfinity)):
-            return True
         return NotImplemented
 
     def __add__(self, other: object):
@@ -131,6 +114,7 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+@total_ordering
 @dataclass(frozen=True)
 class LaurentSeries:
     """A finite-support formal Laurent series with rational coefficients.
@@ -139,7 +123,8 @@ class LaurentSeries:
     exponent, with no zero coefficients; the empty tuple is the zero
     series. Build values through :func:`normalize`, :func:`monomial` or
     :func:`parse` rather than by hand; the constructor validates but does
-    not repair.
+    not repair. ``__lt__`` states the order through :func:`compare`, and
+    ``total_ordering`` derives the rest.
     """
 
     terms: tuple[TermPair, ...] = ()
@@ -204,29 +189,11 @@ class LaurentSeries:
             return scalar_mul(other, self)
         return NotImplemented
 
-    def __rmul__(self, other: object) -> "LaurentSeries":
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return scalar_mul(other, self)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only with a non-series left operand; both products commute
 
     def __lt__(self, other: "LaurentSeries") -> bool:
         if isinstance(other, LaurentSeries):
             return compare(self, other) is Ordering.LESS
-        return NotImplemented
-
-    def __le__(self, other: "LaurentSeries") -> bool:
-        if isinstance(other, LaurentSeries):
-            return compare(self, other) is not Ordering.GREATER
-        return NotImplemented
-
-    def __gt__(self, other: "LaurentSeries") -> bool:
-        if isinstance(other, LaurentSeries):
-            return compare(self, other) is Ordering.GREATER
-        return NotImplemented
-
-    def __ge__(self, other: "LaurentSeries") -> bool:
-        if isinstance(other, LaurentSeries):
-            return compare(self, other) is not Ordering.LESS
         return NotImplemented
 
     def __bool__(self) -> bool:

@@ -26,13 +26,10 @@ from typing import Optional, Sequence, Union
 
 from .laurent import (
     LaurentSeries,
-    Ordering,
     RationalLike,
-    ZERO,
     _integer,
     add,
     as_rational,
-    compare,
     monomial,
     scalar_mul,
     series_from_json,
@@ -276,13 +273,13 @@ def _require_accepted(cert: SigPrimeCertificate, r: ThresholdLike) -> None:
 def claim1_holds(cert: SigPrimeCertificate, r: ThresholdLike) -> bool:
     """Accepted certificates never have an upper element below zero."""
     _require_accepted(cert, r)
-    return compare(cert.upper, ZERO) is not Ordering.LESS
+    return cert.upper.leading_coeff() >= 0  # a series has its leading coefficient's sign
 
 
 def claim2_holds(cert: SigPrimeCertificate, r: ThresholdLike) -> bool:
     """With a nonnegative lower element, the upper element has strictly smaller order."""
     _require_accepted(cert, r)
-    if compare(cert.lower, ZERO) is Ordering.LESS:
+    if cert.lower.leading_coeff() < 0:
         return True
     return cert.lower.order() > cert.upper.order()
 

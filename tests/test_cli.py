@@ -130,6 +130,47 @@ class TestNotRational:
         self._assert_rejected(["measure", "check", "--input", str(path)], text)
 
 
+# int() reads all of these; an integer flag is the grammar's ["-"] digits, ASCII only
+NOT_INTEGER = ["1_0", " \u0662 ", "\u0663"]
+
+
+def _integer_flag_argv(flag, out):
+    """A command that takes ``flag``, with every other required option valid."""
+    return {
+        "--n": ["witness", "--r", "1"],
+        "--n-min": ["measure", "feasible-top", "--n-max", "3", "--r", "1", "--out", out],
+        "--n-max": ["measure", "feasible-top", "--r", "1", "--out", out],
+        "--steps": ["bandit", "--scheme", "laurent", "--mode", "scripted", "--out", out],
+        "--seed": ["bandit", "--scheme", "laurent", "--mode", "egreedy", "--steps", "5",
+                   "--out", out],
+    }[flag]
+
+
+@pytest.mark.parametrize("text", NOT_INTEGER, ids=repr)
+@pytest.mark.parametrize("flag", ["--n", "--n-min", "--n-max", "--steps", "--seed"])
+def test_integer_flag_rejects_non_grammar_digits(tmp_path, capsys, flag, text):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        narch.cli.main([*_integer_flag_argv(flag, str(out)), flag, text])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (2, "")
+    assert f"argument {flag}: not an integer: {text!r}" in captured.err
+    assert not out.exists()
+
+
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="this interpreter converts text of any length")
+def test_integer_flag_past_the_digit_limit_exits_2(capsys):
+    digits = "9" * (_INT_DIGIT_LIMIT + 1)
+    with pytest.raises(SystemExit) as exit_info:
+        narch.cli.main(["witness", "--r", "1", "--n", digits])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"argument --n: too many digits: {len(digits)}\n")
+
+
 def _deep_json(path):
     path.write_text("[" * 200_000, encoding="utf-8")
     return str(path)
@@ -655,6 +696,17 @@ class TestScripts:
         assert "chain index  4096: 4097\n" in result.stdout
         assert "plateaus at index 6 " in result.stdout
 
+    @pytest.mark.parametrize(
+        "r, message",
+        [("0.5", "not a rational: '0.5'"), ("0", "threshold must be positive")],
+    )
+    def test_measurement_growth_rejects_bad_threshold(self, r, message):
+        script = REPO_ROOT / "scripts" / "measurement_growth.py"
+        result = subprocess.run(
+            [sys.executable, str(script), "--r", r], capture_output=True, text=True, cwd=REPO_ROOT
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"measurement_growth: invalid input: {message}\n"
 
     def test_bench_selftest(self):
         # the bench probes narch names such as env_step; deleting one fails here

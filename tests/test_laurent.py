@@ -1,3 +1,4 @@
+import operator
 import time
 from fractions import Fraction
 from random import Random
@@ -168,6 +169,44 @@ class TestOrderAndLeadingCoeff:
         assert 3 < PLUS_INFINITY
         assert PLUS_INFINITY + 4 == PLUS_INFINITY
         assert 4 + PLUS_INFINITY == PLUS_INFINITY
+
+
+class TestDerivedOperators:
+    """The operators that ``total_ordering`` and ``__rmul__ = __mul__`` derive."""
+
+    @given(series(), series())
+    def test_six_comparisons_agree_with_compare(self, a, b):
+        result = compare(a, b)
+        assert (a < b) is (result is Ordering.LESS)
+        assert (a <= b) is (result is not Ordering.GREATER)
+        assert (a > b) is (result is Ordering.GREATER)
+        assert (a >= b) is (result is not Ordering.LESS)
+        assert (a == b) is (result is Ordering.EQUAL)
+        assert (a != b) is (result is not Ordering.EQUAL)
+
+    @given(series(), st.integers(-20, 20) | rationals())
+    def test_scalar_product_commutes(self, a, k):
+        assert k * a == a * k == scalar_mul(k, a)
+
+    @given(st.integers(-(10**20), 10**20) | st.booleans())
+    def test_plus_infinity_above_every_int(self, n):
+        assert PLUS_INFINITY > n and PLUS_INFINITY >= n and PLUS_INFINITY != n
+        assert not (PLUS_INFINITY < n or PLUS_INFINITY <= n or PLUS_INFINITY == n)
+        assert n < PLUS_INFINITY and n <= PLUS_INFINITY
+        assert not (n > PLUS_INFINITY or n >= PLUS_INFINITY)
+
+    def test_plus_infinity_equals_itself(self):
+        top = PLUS_INFINITY
+        assert top == top and top <= top and top >= top
+        assert not (top != top or top < top or top > top)
+
+    @pytest.mark.parametrize("other", [Fraction(1), 1.5, None], ids=repr)
+    def test_plus_infinity_against_non_integers_raises(self, other):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(PLUS_INFINITY, other)
+            with pytest.raises(TypeError):
+                op(other, PLUS_INFINITY)
 
 
 class TestParseFormat:
