@@ -19,7 +19,6 @@ trace CSV of a run, header row included, straight from these closed forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .laurent import (
     RationalLike,
     ZERO,
     _integer,
+    _ratio_text,
     as_rational,
     compare_scaled,
     format_series,
@@ -406,14 +406,6 @@ def reward_text(value: RewardValue) -> str:
     if isinstance(value, LaurentSeries):
         return format_series(value)
     return str(value)
-
-
-def _ratio_text(numerator: int, denominator: int, suffix: str = "") -> str:
-    """numerator/denominator in lowest terms with one gcd, then ``suffix``."""
-    divisor = math.gcd(numerator, denominator)
-    if divisor == denominator:
-        return f"{numerator // divisor}{suffix}"
-    return f"{numerator // divisor}/{denominator // divisor}{suffix}"
 
 
 def _scripted_rows(

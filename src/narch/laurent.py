@@ -18,6 +18,7 @@ series generally has infinite support.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -92,6 +93,21 @@ def _integer(value: object, what: str = "exponent") -> int:
     return value
 
 
+def _rational_parts(value: RationalLike) -> tuple[int, int]:
+    # (numerator, denominator > 0), unreduced for text; str and int skip the ABC test
+    if isinstance(value, str):
+        match = _RATIONAL_TEXT.fullmatch(value)
+        denominator = int(match[2] or 1) if match else 0
+        if denominator == 0:
+            raise ValueError(f"not a rational: {value!r}")
+        return int(match[1]), denominator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, a string such as ``-3/4``, or a Fraction to a Fraction.
 
@@ -101,17 +117,7 @@ def as_rational(value: RationalLike) -> Fraction:
     itself would also read ``1e-1``, ``0.5``, ``1_0``, ``+3``, surrounding
     blanks and other Unicode digits, such as ``"١"``.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        match = _RATIONAL_TEXT.fullmatch(value)
-        denominator = int(match[2] or 1) if match else 0
-        if denominator == 0:
-            raise ValueError(f"not a rational: {value!r}")
-        return Fraction(int(match[1]), denominator)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    return value if isinstance(value, Fraction) else Fraction(*_rational_parts(value))
 
 
 @total_ordering
@@ -218,16 +224,18 @@ def _raw(terms: tuple[TermPair, ...]) -> LaurentSeries:
     return series
 
 
-def _collect(pairs: Iterable[TermPair]) -> LaurentSeries:
-    # The one coefficient accumulator: every constructor and every product
-    # or sum ends here. Callers pass checked (int, Fraction) pairs.
-    acc: dict[int, Fraction] = {}
-    for exponent, coeff in pairs:
+def _collect(triples: Iterable[tuple[int, int, int]]) -> LaurentSeries:
+    # The one coefficient accumulator of constructors and products, over checked
+    # (exponent, numerator, denominator > 0) integers: sums stay integer pairs,
+    # and one Fraction, which reduces, is built per surviving term.
+    acc: dict[int, tuple[int, int]] = {}
+    for exponent, num, den in triples:
         if exponent in acc:
-            acc[exponent] += coeff
+            n, d = acc[exponent]
+            acc[exponent] = (n + num, d) if d == den else (n * den + num * d, d * den)
         else:
-            acc[exponent] = coeff
-    return _raw(tuple(sorted(item for item in acc.items() if item[1])))
+            acc[exponent] = (num, den)
+    return _raw(tuple([(e, Fraction(n, d)) for e, (n, d) in sorted(acc.items()) if n]))
 
 
 def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
@@ -236,7 +244,7 @@ def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
     Duplicate exponents are summed, zero coefficients dropped, exponents
     sorted ascending.
     """
-    return _collect((_integer(e), as_rational(c)) for e, c in pairs)
+    return _collect((_integer(e), *_rational_parts(c)) for e, c in pairs)
 
 
 def monomial(coefficient: RationalLike, exponent: int) -> LaurentSeries:
@@ -254,11 +262,18 @@ def embed_rational(value: RationalLike) -> LaurentSeries:
 
 
 def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    if not b.terms:
-        return a
-    if not a.terms:
-        return b
-    return _collect(a.terms + b.terms)
+    """Merge of the two ascending term tuples; coefficients meet only at shared exponents."""
+    ta, tb = a.terms, b.terms
+    terms, i, j = [], 0, 0
+    while i < len(ta) and j < len(tb):
+        ea, eb = ta[i][0], tb[j][0]
+        if ea != eb:
+            terms.append(ta[i] if ea < eb else tb[j])
+        elif total := ta[i][1] + tb[j][1]:
+            terms.append((ea, total))
+        i += ea <= eb  # past the lower exponent, or past both where they meet
+        j += eb <= ea
+    return _raw((*terms, *ta[i:], *tb[j:]))
 
 
 def neg(a: LaurentSeries) -> LaurentSeries:
@@ -270,17 +285,19 @@ def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Convolution product over the finite supports."""
-    return _collect((ea + eb, ca * cb) for ea, ca in a.terms for eb, cb in b.terms)
+    """Convolution product over the finite supports, summed as integers."""
+    pa = [(e, c.numerator, c.denominator) for e, c in a.terms]
+    pb = [(e, c.numerator, c.denominator) for e, c in b.terms]
+    return _collect([(ea + eb, na * nb, da * db) for ea, na, da in pa for eb, nb, db in pb])
 
 
 def scalar_mul(q: RationalLike, a: LaurentSeries) -> LaurentSeries:
-    scale = as_rational(q)
-    if scale == 0:
+    num, den = _rational_parts(q)
+    if num == 0:
         return ZERO
-    if scale == 1:
+    if num == den:
         return a
-    return _raw(tuple((e, scale * c) for e, c in a.terms))
+    return _raw(tuple((e, Fraction(num * c.numerator, den * c.denominator)) for e, c in a.terms))
 
 
 def compare(a: LaurentSeries, b: LaurentSeries) -> Ordering:
@@ -355,7 +372,7 @@ def parse(text: str) -> LaurentSeries:
     denominator, just after an ``eps`` without ``^``, or at a character
     that is not a connective.
     """
-    pairs, pos, sign = [], 0, 1
+    triples, pos, sign = [], 0, 1
     while True:
         term = _TERM.match(text, pos)  # every part is optional: the match never fails
         minus, num, den, eps, exp_minus, exp = term.groups()
@@ -370,26 +387,34 @@ def parse(text: str) -> LaurentSeries:
         if exp == "":
             raise SeriesParseError("expected exponent digits", term.start(6))
         exponent = int(exp_minus + exp) if eps else 0
-        pairs.append((exponent, Fraction(sign * int(minus + num), int(den or 1))))
+        triples.append((exponent, sign * int(minus + num), int(den or 1)))
         pos = term.end()
         if pos == len(text):
-            return _collect(pairs)
+            return _collect(triples)
         if text[pos] not in "+-":
             raise SeriesParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
         sign = 1 if text[pos] == "+" else -1
         pos += 1
 
 
+def _ratio_text(numerator: int, denominator: int, suffix: str = "") -> str:
+    """numerator/denominator in lowest terms with one gcd, then ``suffix``; series and bandit cells."""
+    divisor = math.gcd(numerator, denominator)
+    if divisor == denominator:
+        return f"{numerator // divisor}{suffix}"
+    return f"{numerator // divisor}/{denominator // divisor}{suffix}"
+
+
 def format_series(a: LaurentSeries) -> str:
     """Canonical text form, ascending exponents; inverse of :func:`parse`."""
-    if not a.terms:
-        return "0"
-    first_exp, first_coeff = a.terms[0]
-    parts = [f"{first_coeff} eps^{first_exp}"]
-    for exponent, coeff in a.terms[1:]:
-        connective = " + " if coeff > 0 else " - "
-        parts.append(f"{connective}{abs(coeff)} eps^{exponent}")
-    return "".join(parts)
+    parts = []
+    for exponent, coeff in a.terms:
+        num = coeff.numerator
+        if parts:  # a later term is joined by its sign
+            parts.append(" + " if num > 0 else " - ")
+            num = abs(num)
+        parts.append(_ratio_text(num, coeff.denominator, f" eps^{exponent}"))
+    return "".join(parts) or "0"
 
 
 def series_to_json(a: LaurentSeries) -> dict:
@@ -403,12 +428,12 @@ def series_from_json(obj: object) -> LaurentSeries:
     raw = obj["terms"]
     if not isinstance(raw, list):
         raise ValueError("'terms' must be a list of [exponent, coefficient] pairs")
-    pairs = []
+    triples = []
     for entry in raw:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"bad term entry {entry!r}")
         exponent, coeff = entry
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise ValueError(f"bad exponent {exponent!r}")
-        pairs.append((exponent, as_rational(coeff)))
-    return _collect(pairs)
+        triples.append((exponent, *_rational_parts(coeff)))
+    return _collect(triples)

@@ -1,26 +1,50 @@
-"""The kernel's earlier accumulator, comparison and series scanner: one
-dict loop per operation, a separate term walk for ``compare``, and a
-character-by-character ``parse``.
+"""The kernel's earlier accumulator, comparison, series scanner and
+formatter: one ``Fraction`` dict loop per operation, a separate term walk
+for ``compare``, a character-by-character ``parse``, ``Fraction``-valued
+``scalar_mul`` and ``series_from_json``, and ``format_series`` through
+``Fraction.__str__``.
 
-The library now sums every operation's terms in one accumulator, decides
-``compare`` with the ``compare_scaled`` walk, and reads each series term
-as one match of a compiled pattern. The differential tests in
-``test_laurent.py`` check each pair against each other; for ``parse``
-they compare the series, or the error message and its position.
+The library now sums products and constructors in one accumulator over
+integer parts, adds by a merge, scales and formats from integer parts,
+decides ``compare`` with the ``compare_scaled`` walk, and reads each series
+term as one match of a compiled pattern. The differential tests in
+``test_laurent.py`` check each pair against each other; for ``parse`` they
+compare the series, or the error message and its position. Every function
+here builds its result through this module's own ``normalize`` and
+``as_rational``, so none shares the library's accumulator or rational
+reader; only the value types, ``ZERO``, ``_raw`` and the parse error are
+imported.
 """
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
 from narch.laurent import (
+    ZERO,
     LaurentSeries,
     Ordering,
     RationalLike,
     SeriesParseError,
-    _collect,
     _raw,
-    as_rational,
 )
+
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def as_rational(value: RationalLike) -> Fraction:
+    """An int, a grammar string such as ``-3/4``, or a Fraction as a Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        match = _RATIONAL_TEXT.fullmatch(value)
+        denominator = int(match[2] or 1) if match else 0
+        if denominator == 0:
+            raise ValueError(f"not a rational: {value!r}")
+        return Fraction(int(match[1]), denominator)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
@@ -164,4 +188,42 @@ def parse(text: str) -> LaurentSeries:
         pos += 1
         pairs.append(read_term(1 if connective == "+" else -1))
         skip_ws()
-    return _collect(pairs)
+    return normalize(pairs)
+
+
+def scalar_mul(q: RationalLike, a: LaurentSeries) -> LaurentSeries:
+    scale = as_rational(q)
+    if scale == 0:
+        return ZERO
+    if scale == 1:
+        return a
+    return _raw(tuple((e, scale * c) for e, c in a.terms))
+
+
+def format_series(a: LaurentSeries) -> str:
+    """Canonical text form, ascending exponents; inverse of :func:`parse`."""
+    if not a.terms:
+        return "0"
+    first_exp, first_coeff = a.terms[0]
+    parts = [f"{first_coeff} eps^{first_exp}"]
+    for exponent, coeff in a.terms[1:]:
+        connective = " + " if coeff > 0 else " - "
+        parts.append(f"{connective}{abs(coeff)} eps^{exponent}")
+    return "".join(parts)
+
+
+def series_from_json(obj: object) -> LaurentSeries:
+    if not isinstance(obj, dict) or "terms" not in obj:
+        raise ValueError("series JSON must be an object with a 'terms' list")
+    raw = obj["terms"]
+    if not isinstance(raw, list):
+        raise ValueError("'terms' must be a list of [exponent, coefficient] pairs")
+    pairs = []
+    for entry in raw:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"bad term entry {entry!r}")
+        exponent, coeff = entry
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
+            raise ValueError(f"bad exponent {exponent!r}")
+        pairs.append((exponent, as_rational(coeff)))
+    return normalize(pairs)

@@ -687,6 +687,19 @@ class TestScripts:
             "dynamic:1000000    None         no flip in 20000 rounds\n"
         )
 
+    @pytest.mark.parametrize("rounds", ["-5", "1_0", "0"])
+    def test_delayed_gratification_rejects_bad_rounds(self, rounds):
+        script = REPO_ROOT / "scripts" / "delayed_gratification.py"
+        result = subprocess.run(
+            [sys.executable, str(script), f"--rounds={rounds}"],
+            capture_output=True, text=True, cwd=REPO_ROOT,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "delayed_gratification: invalid input: "
+            f"--rounds must be a positive integer, got {rounds!r}\n"
+        )
+
     def test_measurement_growth_script(self):
         script = REPO_ROOT / "scripts" / "measurement_growth.py"
         result = subprocess.run(

@@ -1,3 +1,4 @@
+import math
 import operator
 import time
 from fractions import Fraction
@@ -379,10 +380,11 @@ def test_every_result_is_normalized(a, b, c):
         assert all(isinstance(coeff, Fraction) for _, coeff in value.terms)
 
 
-def _raw_pairs(max_terms=8):
+def _raw_pairs(coeff=None, max_terms=8):
     """Pair lists with repeated exponents, zero coefficients of every
     accepted type, and (in the second branch) full cancellation."""
-    coeff = st.one_of(st.just(0), st.just("0/5"), st.integers(-3, 3), rationals(-3, 3, 4))
+    if coeff is None:
+        coeff = st.one_of(st.just(0), st.just("0/5"), st.integers(-3, 3), rationals(-3, 3, 4))
     pairs = st.lists(st.tuples(st.integers(-3, 3), coeff), max_size=max_terms)
     return st.one_of(pairs, pairs.map(lambda p: p + [(e, -as_rational(c)) for e, c in p]))
 
@@ -392,6 +394,36 @@ def _random_pairs(rnd: Random, max_terms=5) -> list:
         (rnd.randint(-3, 3), Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)))
         for _ in range(rnd.randint(0, max_terms))
     ]
+
+
+def _primes(lo: int, hi: int) -> list:
+    return [n for n in range(lo, hi) if all(n % k for k in range(2, math.isqrt(n) + 1))]
+
+
+LARGE_PRIMES = _primes(998_000, 1_000_000)
+# small denominators, and pairwise-coprime ones up to about 10^6
+DENOMINATORS = [1, 2, 3, 4, 6, 12, *LARGE_PRIMES]
+
+
+def _wide_coefficients():
+    """Rationals as Fractions, ints or unreduced grammar text such as ``2/4`` or ``-0/7``."""
+    num = st.integers(-10**6, 10**6)
+    den = st.sampled_from(DENOMINATORS)
+    scale = st.integers(1, 5)
+    return st.one_of(
+        st.builds(Fraction, num, den),
+        num,
+        st.builds(lambda n, d, k: f"{n * k}/{d * k}", num, den, scale),
+        st.builds(lambda d: f"-0/{d}", den),
+    )
+
+
+def _json_terms():
+    """``series_to_json``-shaped term lists: coefficients as ints or unreduced text."""
+    def cell(c):
+        return f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c
+
+    return _raw_pairs(_wide_coefficients()).map(lambda p: [[e, cell(c)] for e, c in p])
 
 
 def _assert_same(value: LaurentSeries, expected: LaurentSeries) -> None:
@@ -443,6 +475,37 @@ class TestAgainstReference:
             for x, y in pairs:
                 assert compare(x, y) is reference.compare(x, y)
         assert min(seen.values()) > 100, seen
+
+    @given(_raw_pairs(_wide_coefficients()))
+    def test_format_series(self, pairs):
+        a = reference.normalize(pairs)
+        text = format_series(a)
+        assert text == reference.format_series(a)
+        _assert_same(parse(text), a)
+
+    @given(_wide_coefficients(), _raw_pairs(_wide_coefficients()))
+    def test_scalar_mul(self, q, pairs):
+        a = reference.normalize(pairs)
+        _assert_same(scalar_mul(q, a), reference.scalar_mul(q, a))
+
+    @given(_json_terms())
+    def test_series_from_json(self, terms):
+        obj = {"terms": terms}
+        _assert_same(series_from_json(obj), reference.series_from_json(obj))
+
+    def test_large_product_with_prime_denominators(self):
+        # 4,096 products over 127 exponents, every denominator a distinct prime
+        rnd = Random(20261018)
+        primes = rnd.sample(LARGE_PRIMES, 128)
+
+        def operand(dens):
+            return reference.normalize(
+                (e, Fraction(rnd.randint(-10**6, 10**6) or 1, den)) for e, den in zip(range(-32, 32), dens)
+            )
+
+        a, b = operand(primes[:64]), operand(primes[64:])
+        assert len(a.terms) == len(b.terms) == 64
+        _assert_same(mul(a, b), reference.mul(a, b))
 
 
 # The grammar's tokens, and characters that str.isspace() or str.isdigit()
