@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from narch import Ordering, RewardScheme, crossover_step, first_flip, scripted_eval
+from narch import RewardScheme, crossover_step, first_flip
 
 
 def _rounds(text: str) -> int:
@@ -23,6 +23,11 @@ def _rounds(text: str) -> int:
     if re.fullmatch(r"[0-9]+", text) is None or int(text) < 1:
         raise ValueError(f"--rounds must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _blue_below_red(m: int, n: int) -> bool:
+    """After n presses, whether the blue total m * (floor(log2 n) + 1) is below n red units."""
+    return m * n.bit_length() < n
 
 
 def main() -> int:
@@ -41,9 +46,11 @@ def main() -> int:
         predicted = crossover_step(m)
         note = f"crossover_step({m}) = {predicted}"
         if predicted is not None and predicted <= rounds:
-            # confirmed by the rows: the first one whose blue mean is below the red one
-            rows = scripted_eval(predicted, RewardScheme.static_approx(m))
-            assert next(r.step for r in rows if r.blue_vs_red is Ordering.LESS) == predicted
+            # the scripted rows at predicted - 1 and predicted, from their integer totals:
+            # the blue mean falls below the red one at predicted and not before
+            if not _blue_below_red(m, predicted) or _blue_below_red(m, predicted - 1):
+                print(f"delayed_gratification: {note} is not the first flip", file=sys.stderr)
+                return 1
             note += " (confirmed by scripted scan)"
         print(f"{'approx:' + str(m):<18} {str(predicted):<12} {note}")
 

@@ -15,18 +15,15 @@ import json
 import os
 import re
 import sys
-from typing import ContextManager, Iterable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, ContextManager, Iterable, Iterator, Optional, TextIO
 
-from .bandit import MODE_EGREEDY, MODE_SCRIPTED, RewardScheme, RunConfig, write_trace
+# Only the kernel is imported here. Each other layer is imported inside the
+# handlers that use it, so a run loads (and, without bytecode caches,
+# compiles) only its own layers.
 from .laurent import SeriesParseError, as_rational, compare, format_series, parse
-from .measurement import (
-    assignment_from_json,
-    diminishing_returns_index,
-    is_accurate_measurement,
-    min_feasible_top,
-    structure_from_json,
-)
-from .sig_order import laurent_nonarch_witness, verify_nonarch_prefix
+
+if TYPE_CHECKING:
+    from .bandit import RunConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -107,6 +104,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from .sig_order import laurent_nonarch_witness, verify_nonarch_prefix
+
     r = as_rational(args.r)
     chain, y = laurent_nonarch_witness(r, args.n)
     verified = verify_nonarch_prefix(chain, y, r)
@@ -122,6 +121,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_check(args: argparse.Namespace) -> int:
+    from .measurement import assignment_from_json, is_accurate_measurement, structure_from_json
+
     obj = _load_json_file(args.input)
     if not isinstance(obj, dict) or "structure" not in obj or "assignment" not in obj:
         raise InputError("measure input must have 'structure' and 'assignment' objects")
@@ -133,6 +134,8 @@ def _cmd_measure_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_feasible_top(args: argparse.Namespace) -> int:
+    from .measurement import min_feasible_top
+
     r = as_rational(args.r)
     if args.n_min < 0 or args.n_max < args.n_min:
         raise InputError("need 0 <= n-min <= n-max")
@@ -145,6 +148,8 @@ def _cmd_measure_feasible_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_plateau(args: argparse.Namespace) -> int:
+    from .measurement import diminishing_returns_index
+
     # split on LF only: str.splitlines would also split inside a line at \f, \v or \x1c
     lines = [line.strip() for line in _read_text(args.seq).split("\n")]
     seq = [as_rational(line) for line in lines if line]
@@ -157,6 +162,8 @@ _BANDIT_OPTIONS = ("scheme", "mode", "steps", "epsilon", "seed")
 
 
 def _bandit_config(args: argparse.Namespace) -> RunConfig:
+    from .bandit import RewardScheme, RunConfig
+
     values = {}
     if args.config is not None:
         obj = _load_json_file(args.config)
@@ -184,6 +191,8 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_bandit(args: argparse.Namespace) -> int:
+    from .bandit import write_trace
+
     config = _bandit_config(args)
     with _text_output(args.out) as out:
         flip_step, final_preference = write_trace(config, out)
@@ -243,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bandit = sub.add_parser("bandit", help="run the delayed-gratification environment")
     p_bandit.add_argument("--scheme", default=None, help="laurent | approx:<M> | dynamic:<M>")
-    p_bandit.add_argument("--mode", default=None, choices=[MODE_SCRIPTED, MODE_EGREEDY])
+    p_bandit.add_argument("--mode", default=None, help="scripted | egreedy")
     p_bandit.add_argument("--steps", type=_integer_flag, default=None)
     p_bandit.add_argument("--epsilon", default=None, help="exploration probability (rational)")
     p_bandit.add_argument("--seed", type=_integer_flag, default=None, help="64-bit generator seed")

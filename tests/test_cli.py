@@ -721,6 +721,19 @@ class TestScripts:
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == f"measurement_growth: invalid input: {message}\n"
 
+    @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+    def test_delayed_gratification_confirms_large_crossover_quickly(self, optimize):
+        # confirming crossover_step(1000000) = 25000001 must not walk 25 million rows,
+        # and the check must survive -O, which strips assert statements
+        script = REPO_ROOT / "scripts" / "delayed_gratification.py"
+        result = subprocess.run(
+            [sys.executable, *optimize, str(script), "--rounds", "25000001"],
+            capture_output=True, text=True, cwd=REPO_ROOT, timeout=10,
+        )
+        assert result.returncode == 0, result.stderr
+        line = next(row for row in result.stdout.split("\n") if row.startswith("approx:1000000 "))
+        assert "crossover_step(1000000) = 25000001 (confirmed" in line
+
     def test_bench_selftest(self):
         # the bench probes narch names such as env_step; deleting one fails here
         script = REPO_ROOT / "bench" / "selftest.py"
@@ -737,3 +750,30 @@ class TestUsageErrors:
 
     def test_unknown_flag_exits_2(self, narch_cli):
         assert narch_cli("compare", "--nope", "1").returncode == 2
+
+
+class TestBadMode:
+    """RunConfig is the one check of --mode, whether it comes from a flag or the config."""
+
+    def _assert_bad_mode(self, result, out):
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "narch: invalid input: unknown mode 'bogus'\n"
+        assert not out.exists()
+
+    def test_flag(self, narch_cli, tmp_path):
+        out = tmp_path / "trace.csv"
+        result = narch_cli(
+            "bandit", "--scheme", "laurent", "--mode", "bogus", "--steps", "5", "--out", str(out)
+        )
+        self._assert_bad_mode(result, out)
+
+    def test_config_key(self, narch_cli, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scheme": "laurent", "mode": "bogus", "steps": 5}))
+        out = tmp_path / "trace.csv"
+        self._assert_bad_mode(narch_cli("bandit", "--config", str(path), "--out", str(out)), out)
+
+    def test_help_names_both_modes(self, narch_cli):
+        result = narch_cli("bandit", "--help")
+        assert result.returncode == 0
+        assert "scripted | egreedy" in result.stdout
