@@ -51,7 +51,7 @@ def main() -> int:
             if not _blue_below_red(m, predicted) or _blue_below_red(m, predicted - 1):
                 print(f"delayed_gratification: {note} is not the first flip", file=sys.stderr)
                 return 1
-            note += " (confirmed by scripted scan)"
+            note += " (confirmed from two scripted rows)"
         print(f"{'approx:' + str(m):<18} {str(predicted):<12} {note}")
 
     for scheme in (RewardScheme.exact_laurent(), RewardScheme.dynamic_approx(1_000_000)):

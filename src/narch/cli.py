@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import re
 import sys
 from typing import TYPE_CHECKING, ContextManager, Iterable, Iterator, Optional, TextIO
 
-# Only the kernel is imported here. Each other layer is imported inside the
-# handlers that use it, so a run loads (and, without bytecode caches,
-# compiles) only its own layers.
+# Only the kernel is imported here. Each other layer, and json, is imported
+# inside the handlers that use it, so a run loads (and, without bytecode
+# caches, compiles) only its own layers.
 from .laurent import SeriesParseError, as_rational, compare, format_series, parse
 
 if TYPE_CHECKING:
@@ -56,6 +55,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_json_file(path: str) -> object:
+    import json
+
     text = _read_text(path)
     try:
         return json.loads(text)
@@ -104,6 +105,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    import json
+
     from .sig_order import laurent_nonarch_witness, verify_nonarch_prefix
 
     r = as_rational(args.r)
@@ -121,6 +124,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_check(args: argparse.Namespace) -> int:
+    import json
+
     from .measurement import assignment_from_json, is_accurate_measurement, structure_from_json
 
     obj = _load_json_file(args.input)
@@ -148,6 +153,8 @@ def _cmd_measure_feasible_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_plateau(args: argparse.Namespace) -> int:
+    import json
+
     from .measurement import diminishing_returns_index
 
     # split on LF only: str.splitlines would also split inside a line at \f, \v or \x1c
@@ -162,6 +169,8 @@ _BANDIT_OPTIONS = ("scheme", "mode", "steps", "epsilon", "seed")
 
 
 def _bandit_config(args: argparse.Namespace) -> RunConfig:
+    import json
+
     from .bandit import RewardScheme, RunConfig
 
     values = {}
@@ -191,6 +200,8 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_bandit(args: argparse.Namespace) -> int:
+    import json
+
     from .bandit import write_trace
 
     config = _bandit_config(args)

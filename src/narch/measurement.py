@@ -7,6 +7,16 @@ feasible span of any accurate measurement grows linearly with the chain
 length (:func:`min_feasible_top`), so no single assignment can serve every
 prefix; bounded monotone measurements instead plateau, which
 :func:`diminishing_returns_index` detects.
+
+The accuracy check rests on two exact facts. First, the rows of the
+separated set S, ``S_i = {j : f(x_j) >= f(x_i) + r}``, are suffixes of the
+value order, so they are nested; a relation whose rows are not nested
+equals S under no assignment, and for nested rows the relation is read
+once per structure into two integer lists (see
+:func:`is_accurate_measurement`). Second, ``floor(2^64 * v)`` never
+decreases as v grows, so a value and a value or bound in another 2^-64
+cell are ordered by their cells alone; only those sharing a cell are
+compared exactly, and no common denominator is ever formed.
 """
 
 from __future__ import annotations
@@ -26,8 +36,8 @@ class FiniteSigStructure:
     Labels are strings. Each relation entry must be a tuple or list of two
     declared labels; anything else (a bare string such as ``"ab"``, a
     number) raises ValueError instead of being coerced. The validation pass
-    also stores, per element, the indices of the elements it is related
-    below, which :func:`is_accurate_measurement` reads.
+    also collects each element's row of the relation, from which it stores
+    the nested-row index that :func:`is_accurate_measurement` reads.
     """
 
     elements: tuple[str, ...]
@@ -46,13 +56,13 @@ class FiniteSigStructure:
         # one pass: every entry is shape-checked and resolved as it is stored;
         # lookup among the string labels also rules out non-string labels
         pairs = []
-        above: list[list[int]] = [[] for _ in elements]
+        rows: list[set[int]] = [set() for _ in elements]
         for entry in self.relation:
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise ValueError(f"relation entry {entry!r} is not a pair")
             x1, x2 = entry
             try:
-                above[index[x1]].append(index[x2])
+                rows[index[x1]].add(index[x2])
             except KeyError:
                 raise ValueError(
                     f"relation pair {entry!r} references undeclared elements"
@@ -60,9 +70,27 @@ class FiniteSigStructure:
             pairs.append((x1, x2))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "relation", frozenset(pairs))
-        # not a field, so equality, hash, repr and JSON see only the labels;
-        # a repeated entry repeats an index, which no minimum notices
-        object.__setattr__(self, "_above", tuple(map(tuple, above)))
+        # not a field, so equality, hash, repr and JSON see only the labels
+        object.__setattr__(self, "_nested", _nested_row_index(rows))
+
+
+def _nested_row_index(rows: list[set[int]]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``n - |R_i|`` per element i and ``n - m_j`` per element j, or None.
+
+    None means the rows are not nested (see :func:`is_accurate_measurement`).
+    Walking the rows from the smallest up, each must contain the one before
+    it and gives its size to the elements it adds: O(|R|) set work.
+    """
+    n = len(rows)
+    lowest = [0] * n
+    inner: set[int] = set()
+    for row in sorted(rows, key=len):
+        if not inner <= row:
+            return None
+        for j in row - inner:
+            lowest[j] = n - len(row)
+        inner = row
+    return tuple(n - len(row) for row in rows), tuple(lowest)
 
 
 @dataclass(frozen=True)
@@ -101,38 +129,66 @@ def is_accurate_measurement(
     of the first value at or above ``f(x_i) + r``: that bound rises with
     the rank of ``x_i``, so the sweep's pointer never moves back. Every
     value at or above the bound sits at or after ``first[i]`` and every
-    smaller one before it, ties included, so ``(x_i, x_j)`` is in S iff
-    ``pos[j] >= first[i]`` and ``|S| = sum(n - first[i])``. If every
-    relation pair passes that test, R is a subset of S, and R = S iff
-    ``|R| = |S|``; the structure's per-element index of the elements above
-    each one turns the test into one integer minimum per element. A
-    self-pair always fails, because r > 0 puts ``first[i]`` after
-    ``pos[i]``. The cost is O(n log n) Fraction comparisons to rank, O(n)
-    for the sweep, and O(|R|) integer work over an index built once per
-    structure, not n^2 Fraction tests.
+    smaller one before it, ties included, so the row ``S_i`` is the suffix
+    of ranks from ``first[i]`` on and has ``n - first[i]`` elements.
+
+    Write ``R_i`` for the row of x_i in R and ``m_j`` for the size of the
+    smallest row holding x_j (n when none does). Then R = S iff every
+    ``first[i] == n - |R_i|`` and every ``pos[j] >= n - m_j``:
+
+    - If R = S, each ``R_i = S_i`` has ``n - first[i]`` elements, and x_j in
+      its smallest row ``R_i = S_i`` sits at rank ``first[i] = n - m_j``
+      or later.
+    - Conversely, take x_j in ``R_i``: ``m_j <= |R_i|``, so
+      ``pos[j] >= n - m_j >= n - |R_i| = first[i]`` and x_j is in ``S_i``.
+      So ``R_i`` is a subset of ``S_i`` of the same size, hence equal.
+
+    Since the rows of S are suffixes, they are nested, so a relation whose
+    rows are not nested is never accurate; the structure records that, or
+    else the two integer lists, once. A self-pair always fails: the two
+    conditions would give ``pos[i] >= n - m_i >= n - |R_i| = first[i]``,
+    but r > 0 puts ``first[i]`` after ``pos[i]``.
+
+    Values are ranked by ``(floor(2^64 * v), v)``, which orders exactly as
+    v does: the cells decide unless two values share one. The sweep
+    compares each value's cell with the bound's cell
+    ``((p*b + a*q) << 64) // (q*b)`` for ``v = p/q`` and ``r = a/b``, and
+    cross-multiplies a value against ``(p*b + a*q) / (q*b)`` only when the
+    two cells are equal, as they are at every exact gap of r. The cost is
+    O(|R|) once per structure and O(n log n) integer work per check, not
+    n^2 Fraction tests.
     """
     values = assignment.values
     try:
         vals = [values[x] for x in structure.elements]
     except KeyError as missing:
         raise ValueError(f"no value assigned to element {missing.args[0]!r}") from None
+    if structure._nested is None:
+        return False
+    wanted, lowest = structure._nested
     gap = assignment.threshold.r
+    a, b = gap.numerator, gap.denominator
     n = len(vals)
-    order = sorted(range(n), key=vals.__getitem__)
-    ranked = [vals[i] for i in order]
-    pos = [0] * n
-    first = [0] * n
+    ratios = [(v.numerator, v.denominator) for v in vals]
+    cells = [(p << 64) // q for p, q in ratios]
+    order = sorted(range(n), key=list(zip(cells, vals)).__getitem__)
+    ranked = [cells[i] for i in order]
     j = 0
     for k, i in enumerate(order):
-        pos[i] = k
-        bound = ranked[k] + gap
-        while j < n and ranked[j] < bound:
+        if k < lowest[i]:
+            return False
+        # the bound f(x_i) + r is top / bottom; only a value in its cell needs them
+        p, q = ratios[i]
+        top, bottom = p * b + a * q, q * b
+        cell = (top << 64) // bottom
+        while j < n and ranked[j] < cell:
             j += 1
-        first[i] = j
-    if n * n - sum(first) != len(structure.relation):
-        return False
-    for row, lowest in zip(structure._above, first):
-        if row and min(map(pos.__getitem__, row)) < lowest:
+        while j < n and ranked[j] == cell:
+            s, t = ratios[order[j]]
+            if s * bottom >= top * t:
+                break
+            j += 1
+        if j != wanted[i]:
             return False
     return True
 

@@ -681,7 +681,7 @@ class TestScripts:
         assert result.stdout == (
             "scheme             flip step    note\n"
             "approx:1000        14001        crossover_step(1000) = 14001"
-            " (confirmed by scripted scan)\n"
+            " (confirmed from two scripted rows)\n"
             "approx:1000000     25000001     crossover_step(1000000) = 25000001\n"
             "laurent            None         no flip in 20000 rounds\n"
             "dynamic:1000000    None         no flip in 20000 rounds\n"

@@ -155,3 +155,20 @@ for _ in range(3):
 print(json.dumps(calls))
 """
     assert _fresh(code) == ["parse", "decide_affine_sig_prime", "min_feasible_top"]
+
+
+def test_compare_does_not_import_json():
+    # -S keeps site's own imports out, so only narch can have loaded json
+    code = """
+import contextlib, io, sys
+import narch.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = narch.cli.main(["compare", "--lhs", "0", "--rhs", "0"])
+print(code, "json" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "False"]

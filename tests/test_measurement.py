@@ -249,6 +249,86 @@ class TestRanksAgainstPairwise:
         ) == repr(FiniteSigStructure(elements=("a", "b"), relation=frozenset({("a", "b")})))
 
 
+TINY = Fraction(1, 2**70)
+
+
+def _cell(v):
+    return (v.numerator << 64) // v.denominator
+
+
+def _rows_nested(labels, relation):
+    rows = sorted(({x2 for x1, x2 in relation if x1 == x} for x in labels), key=len)
+    return all(inner <= outer for inner, outer in zip(rows, rows[1:]))
+
+
+class TestCellsAndNestedRows:
+    """Values and bounds that share a 2^-64 cell, and relations with rows not nested."""
+
+    @pytest.mark.parametrize("r", [Fraction(2, 3), Fraction(1), Fraction(5, 2**66)])
+    @pytest.mark.parametrize(
+        "v", [Fraction(0), Fraction(1, 3), Fraction(-5, 7), Fraction(-2), Fraction(7, 2**64)]
+    )
+    def test_values_and_bounds_inside_one_cell(self, v, r):
+        # v + r is one low value's bound exactly; 2^-70 moves a value within its
+        # cell; labels run against the value order, so cells alone misrank them
+        assert _cell(v + TINY) == _cell(v) and _cell(v + r + TINY) == _cell(v + r)
+        values = {}
+        for e in (1, 0, -1):
+            values[f"low{e}"] = v + e * TINY
+            values[f"high{e}"] = v + r + e * TINY
+        labels = list(values)
+        relation = _separated(values, r)
+        assert _check_both(labels, relation, values, r) is True
+        for pair in [(x1, x2) for x1 in labels for x2 in labels]:
+            assert _check_both(labels, relation ^ {pair}, values, r) is False
+
+    def test_rows_not_nested_with_as_many_pairs_as_separated(self):
+        rnd = Random(271828)
+        seen = 0
+        for _ in range(2000):
+            n = rnd.randint(3, 7)
+            labels = [f"v{i}" for i in range(n)]
+            r = Fraction(rnd.randint(1, 4), 2)
+            values = {
+                x: Fraction(rnd.randint(-6, 6), 2) + rnd.choice((-TINY, 0, TINY)) for x in labels
+            }
+            all_pairs = [(x1, x2) for x1 in labels for x2 in labels]
+            relation = set(rnd.sample(all_pairs, len(_separated(values, r))))
+            if _rows_nested(labels, relation):
+                continue
+            seen += 1
+            assert _check_both(labels, relation, values, r) is False
+        assert seen > 500, seen
+
+    def test_rows_not_nested_still_report_a_missing_value(self):
+        structure = FiniteSigStructure(
+            elements=("a", "b", "c"), relation=frozenset({("a", "b"), ("b", "a")})
+        )
+        partial = MeasurementAssignment(values={"a": 0, "b": 1}, threshold=SigThreshold(1))
+        with pytest.raises(ValueError, match="no value assigned to element 'c'"):
+            is_accurate_measurement(structure, partial)
+        full = MeasurementAssignment(values={"a": 0, "b": 1, "c": 2}, threshold=SigThreshold(1))
+        assert is_accurate_measurement(structure, full) is False
+
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-1, 1)), min_size=1, max_size=6),
+        st.integers(1, 3),
+        st.integers(-1, 1),
+        st.data(),
+    )
+    def test_hypothesis_half_grid_with_tiny_offsets(self, grid, r_steps, r_offset, data):
+        labels = [f"v{i}" for i in range(len(grid))]
+        values = {x: Fraction(k, 2) + e * TINY for x, (k, e) in zip(labels, grid)}
+        r = Fraction(r_steps, 2) + r_offset * TINY
+        all_pairs = [(x1, x2) for x1 in labels for x2 in labels]
+        relation = _separated(values, r)
+        if data.draw(st.booleans()):
+            relation ^= {data.draw(st.sampled_from(all_pairs))}
+        elif data.draw(st.booleans()):
+            relation = set(data.draw(st.lists(st.sampled_from(all_pairs), unique=True)))
+        _check_both(labels, relation, values, r)
+
+
 def _primes_below(limit):
     sieve = bytearray([1]) * limit
     sieve[:2] = b"\0\0"
