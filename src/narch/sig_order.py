@@ -3,18 +3,19 @@
 ``sig_less_real`` and ``sig_less_laurent`` decide "x is significantly less
 than y" for a fixed positive threshold r: on rationals this is a gap of at
 least r, on Laurent values it is decided by orders and leading
-coefficients. The reals satisfy an escape property under this relation
-(every strictly climbing chain eventually significantly exceeds any fixed
-value); Laurent values do not, and :func:`laurent_nonarch_witness` builds
-the explicit counterexample chain together with the value it never
-overtakes.
+coefficients, compared as integer numerators and denominators. The reals
+satisfy an escape property under this relation (every strictly climbing
+chain eventually significantly exceeds any fixed value); Laurent values
+do not, and :func:`laurent_nonarch_witness` builds the explicit
+counterexample chain together with the value it never overtakes.
 
 A derived, coarser relation ``lower <<' upper`` holds when some infinite
 chain starts at ``lower``, climbs significantly at every step, and stays
 significantly below ``upper``. Arbitrary chains make that undecidable, so
 certificates here carry an affine chain ``x_i = base + i * step``; every
 coefficient of ``x_i`` is then affine in ``i``, which makes the universal
-check over all ``i`` decidable (see :func:`decide_affine_sig_prime`).
+check over all ``i`` decidable (see :func:`decide_affine_sig_prime`), and
+the leading term of any ``x_i`` is read from integers without building it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .laurent import (
+    PLUS_INFINITY,
     LaurentSeries,
     RationalLike,
     _integer,
@@ -66,6 +68,29 @@ def sig_less_real(x: RationalLike, y: RationalLike, r: ThresholdLike) -> bool:
     return as_rational(x) <= as_rational(y) - _threshold(r)
 
 
+# Leading parts (order, numerator, denominator > 0) of a series; the
+# fraction need not be reduced.
+_ZERO_PARTS = (PLUS_INFINITY, 0, 1)
+
+
+def _leading(series: LaurentSeries) -> tuple:
+    if not series.terms:
+        return _ZERO_PARTS
+    exponent, coeff = series.terms[0]
+    return exponent, coeff.numerator, coeff.denominator
+
+
+def _sig_less(a: tuple, b: tuple, gn: int, gd: int) -> bool:
+    """:func:`sig_less_laurent` on leading parts, for the gap gn/gd > 0, in integers."""
+    order_a, na, da = a
+    order_b, nb, db = b
+    if order_a > order_b:
+        return nb > 0
+    if order_a < order_b:
+        return na < 0
+    return na * db * gd <= (nb * gd - gn * db) * da  # na/da <= nb/db - gn/gd
+
+
 def sig_less_laurent(a: LaurentSeries, b: LaurentSeries, r: ThresholdLike) -> bool:
     """The significant order on Laurent values.
 
@@ -76,13 +101,7 @@ def sig_less_laurent(a: LaurentSeries, b: LaurentSeries, r: ThresholdLike) -> bo
     r apart. The zero series has infinite order and leading coefficient 0.
     """
     gap = _threshold(r)
-    order_a = a.order()
-    order_b = b.order()
-    if order_a > order_b:
-        return b.leading_coeff() > 0
-    if order_a < order_b:
-        return a.leading_coeff() < 0
-    return a.leading_coeff() <= b.leading_coeff() - gap
+    return _sig_less(_leading(a), _leading(b), gap.numerator, gap.denominator)
 
 
 def verify_chain_prefix(seq: Sequence[LaurentSeries], r: ThresholdLike) -> bool:
@@ -90,7 +109,10 @@ def verify_chain_prefix(seq: Sequence[LaurentSeries], r: ThresholdLike) -> bool:
     if not seq:
         raise ValueError("chain prefix must be non-empty")
     gap = _threshold(r)
-    return all(sig_less_laurent(seq[i], seq[i + 1], gap) for i in range(len(seq) - 1))
+    gn, gd = gap.numerator, gap.denominator
+    return all(
+        _sig_less(_leading(seq[i]), _leading(seq[i + 1]), gn, gd) for i in range(len(seq) - 1)
+    )
 
 
 def laurent_nonarch_witness(
@@ -117,9 +139,11 @@ def verify_nonarch_prefix(
     gap = _threshold(r)
     if not verify_chain_prefix(chain, gap):
         return False
-    if not all(sig_less_laurent(x, y, gap) for x in chain):
+    gn, gd = gap.numerator, gap.denominator
+    top = _leading(y)
+    if not all(_sig_less(_leading(x), top, gn, gd) for x in chain):
         return False
-    return not any(sig_less_laurent(y, x, gap) for x in chain)
+    return not any(_sig_less(top, _leading(x), gn, gd) for x in chain)
 
 
 @dataclass(frozen=True)
@@ -225,6 +249,35 @@ def _breakpoints(
     return stabilization, sorted(i for i in candidates if 0 <= i <= stabilization)
 
 
+def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:
+    """Rows ``(e, p, q, d)``, ascending in e over the exponents of base and step.
+
+    The coefficient of ``x_i`` at e is (p + i * q) / d with d > 0, from
+    base's b_num/b_den and step's s_num/s_den there: p = b_num * s_den,
+    q = s_num * b_den, d = b_den * s_den.
+    """
+    base, step = dict(chain.base.terms), dict(chain.step.terms)
+    rows = []
+    for exponent in sorted(base.keys() | step.keys()):
+        b, s = base.get(exponent, 0), step.get(exponent, 0)
+        rows.append((
+            exponent,
+            b.numerator * s.denominator,
+            s.numerator * b.denominator,
+            b.denominator * s.denominator,
+        ))
+    return rows
+
+
+def _leading_at(rows: list[tuple[int, int, int, int]], i: int) -> tuple:
+    """Leading parts of ``x_i``: its first row with a nonzero coefficient."""
+    for exponent, p, q, d in rows:
+        numerator = p + i * q
+        if numerator:
+            return exponent, numerator, d
+    return _ZERO_PARTS
+
+
 def decide_affine_sig_prime(
     cert: SigPrimeCertificate, r: ThresholdLike
 ) -> SigPrimeDecision:
@@ -236,13 +289,16 @@ def decide_affine_sig_prime(
     failing i up to that index, if any, decides the whole infinite chain.
     That i is found without scanning: :func:`_breakpoints` gives
     O(1) breakpoint indices that must contain it, and each candidate, in
-    ascending order, is tested with the true conditions on the real chain
-    elements. The first that fails is the answer, since every smaller
-    candidate was tested and passed; if none fails, no index fails.
-    Candidates beyond the necessary ones cannot change the result, because
-    none of them is judged by anything but the exact predicate.
-    Rejections report the smallest violating i and the condition that
-    failed there.
+    ascending order, is tested with the exact significant order on the
+    leading terms of ``x_i``, ``x_{i+1}`` and ``upper``, which is all that
+    :func:`sig_less_laurent` reads. The leading term of ``x_i`` is the first
+    exponent where the integer numerator of b + i * s is nonzero, so no
+    chain element is built. The first candidate that fails is the answer,
+    since every smaller candidate was tested and passed; if none fails, no
+    index fails. Candidates beyond the necessary ones cannot change the
+    result, because none of them is judged by anything but the exact
+    predicate. Rejections report the smallest violating i and the
+    condition that failed there.
 
     Raises ValueError when the chain does not start at ``lower``.
     """
@@ -250,14 +306,17 @@ def decide_affine_sig_prime(
     if cert.chain.base != cert.lower:
         raise ValueError("certificate chain must start at its lower element")
     stabilization, candidates = _breakpoints(cert.chain, cert.upper, gap)
+    gn, gd = gap.numerator, gap.denominator
+    rows = _affine_rows(cert.chain)
+    top = _leading(cert.upper)
     previous, successor = None, None
     for i in candidates:
-        current = successor if previous == i - 1 else cert.chain.element(i)
-        successor = cert.chain.element(i + 1)
+        current = successor if previous == i - 1 else _leading_at(rows, i)
+        successor = _leading_at(rows, i + 1)
         previous = i
-        if not sig_less_laurent(current, successor, gap):
+        if not _sig_less(current, successor, gn, gd):
             return SigPrimeDecision(False, i, stabilization, "climb")
-        if not sig_less_laurent(current, cert.upper, gap):
+        if not _sig_less(current, top, gn, gd):
             return SigPrimeDecision(False, i, stabilization, "ceiling")
     return SigPrimeDecision(True, None, stabilization)
 

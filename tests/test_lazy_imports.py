@@ -4,6 +4,7 @@ Module sets and first-use bindings are checked in fresh interpreters: this
 process has long since imported every layer.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -108,7 +109,7 @@ def test_the_exports_are_unchanged():
     assert len(ALL_EXPORTS) == 62
     assert sorted(narch.__all__) == sorted(ALL_EXPORTS)
     for module_name, names in EXPORTS.items():
-        module = sys.modules[f"narch.{module_name}"]
+        module = importlib.import_module(f"narch.{module_name}")
         for name in names:
             assert getattr(narch, name) is getattr(module, name), name
 

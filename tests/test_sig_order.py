@@ -11,6 +11,9 @@ from narch.sig_order import (
     SigPrimeCertificate,
     SigPrimeDecision,
     SigThreshold,
+    _affine_rows,
+    _leading_at,
+    _sig_less,
     certificate_from_json,
     certificate_to_json,
     claim1_holds,
@@ -23,6 +26,7 @@ from narch.sig_order import (
     verify_nonarch_prefix,
 )
 
+from .reference_sig_order import element_decide_affine_sig_prime, fraction_sig_less
 from .sampling import (
     breakpoint_certificate,
     brute_force_violation,
@@ -361,3 +365,99 @@ class TestCertificateJson:
     def test_rejects_missing_chain(self):
         with pytest.raises(ValueError):
             certificate_from_json({"lower": {"terms": []}, "upper": {"terms": []}})
+
+
+def _sampled_certificates(rnd: Random, count: int):
+    """(certificate, r) pairs, alternating the two samplers."""
+    for k in range(count):
+        r = random_threshold(rnd)
+        sampler = breakpoint_certificate if k % 2 else random_certificate
+        yield sampler(rnd, r), r
+
+
+class TestIntegerLeadingTerms:
+    """The decision reads integer leading terms; the references build elements."""
+
+    @staticmethod
+    def _element_parts(chain, i):
+        element = chain.element(i)
+        return element.order(), element.leading_coeff()
+
+    @staticmethod
+    def _integer_parts(rows, i):
+        order, numerator, denominator = _leading_at(rows, i)
+        assert denominator > 0
+        return order, Fraction(numerator, denominator)
+
+    def test_leading_parts_match_built_elements(self):
+        rnd = Random(0x1EAD)
+        drops = vanishes = 0
+        for cert, r in _sampled_certificates(rnd, 4000):
+            chain = cert.chain
+            rows = _affine_rows(chain)
+            stabilization = decide_affine_sig_prime(cert, r).stabilization_index
+            for i in range(stabilization + 4):
+                parts = self._integer_parts(rows, i)
+                assert parts == self._element_parts(chain, i), (cert, i)
+                if parts[1] == 0:
+                    vanishes += 1
+                elif parts[0] > min(chain.base.order(), chain.step.order()):
+                    drops += 1
+        assert drops > 100 and vanishes > 100
+
+    def test_integer_root_drops_order_then_vanishes(self):
+        # x_i = (6 - 3i) eps^0 + (2 - i) eps^2: order 0 except at i = 2, where x_2 = 0
+        chain = AffineChain(parse("6 + 2 eps^2"), parse("-3 - 1 eps^2"))
+        rows = _affine_rows(chain)
+        for i in range(6):
+            assert self._integer_parts(rows, i) == self._element_parts(chain, i)
+        assert _leading_at(rows, 2) == (ZERO.order(), 0, 1)
+        # x_i = (4 - 2i) eps^-1 + 1 eps^3: drops to order 3 at i = 2
+        chain = AffineChain(parse("4 eps^-1 + 1 eps^3"), parse("-2 eps^-1"))
+        rows = _affine_rows(chain)
+        assert [self._integer_parts(rows, i)[0] for i in range(4)] == [-1, -1, 3, -1]
+        for i in range(4):
+            assert self._integer_parts(rows, i) == self._element_parts(chain, i)
+
+    def test_decisions_match_the_element_based_loop(self):
+        rnd = Random(0xD1FF)
+        seen = {None: 0, "climb": 0, "ceiling": 0}
+        for cert, r in _sampled_certificates(rnd, 20000):
+            decision = decide_affine_sig_prime(cert, r)
+            assert decision == element_decide_affine_sig_prime(cert, r), cert
+            seen[decision.failed_condition] += 1
+        assert min(seen.values()) > 1000
+
+    @given(series(), series(), thresholds(), st.integers(1, 6), st.integers(1, 6))
+    def test_sig_less_matches_the_fraction_formula(self, a, b, r, scale_a, scale_b):
+        expected = fraction_sig_less(a, b, r)
+        assert sig_less_laurent(a, b, r) == expected
+        # the integer form needs positive denominators, not reduced fractions
+        parts = []
+        for x, scale in ((a, scale_a), (b, scale_b)):
+            lead = x.leading_coeff()
+            parts.append((x.order(), lead.numerator * scale, lead.denominator * scale))
+        assert _sig_less(*parts, r.numerator * 3, r.denominator * 3) == expected
+        assert sig_less_laurent(a, ZERO, r) == fraction_sig_less(a, ZERO, r)
+        assert sig_less_laurent(ZERO, a, r) == fraction_sig_less(ZERO, a, r)
+
+    @given(st.lists(series(max_terms=2), min_size=1, max_size=6), series(), thresholds())
+    def test_prefix_checks_match_the_fraction_formula(self, chain, y, r):
+        climbs = all(fraction_sig_less(x, z, r) for x, z in zip(chain, chain[1:]))
+        assert verify_chain_prefix(chain, r) == climbs
+        trapped = (
+            climbs
+            and all(fraction_sig_less(x, y, r) for x in chain)
+            and not any(fraction_sig_less(y, x, r) for x in chain)
+        )
+        assert verify_nonarch_prefix(chain, y, r) == trapped
+
+    def test_prefix_errors_come_before_any_pair(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            verify_chain_prefix([], 0)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            verify_chain_prefix([ZERO, ZERO], 0)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            verify_nonarch_prefix([], ZERO, 0)
+        with pytest.raises(ValueError, match="non-empty"):
+            verify_nonarch_prefix([], ZERO, 1)
