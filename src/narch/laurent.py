@@ -166,15 +166,6 @@ class LaurentSeries:
             return Fraction(0)
         return self.terms[0][1]
 
-    def coefficient(self, exponent: int) -> Fraction:
-        """Coefficient at a given exponent (0 when the term is absent)."""
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-            if e > exponent:
-                break
-        return Fraction(0)
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         if isinstance(other, LaurentSeries):
             return add(self, other)

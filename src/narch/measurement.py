@@ -226,8 +226,11 @@ def diminishing_returns_index(
     """First index where consecutive growth drops below tol, or None.
 
     The sequence must be non-decreasing (a monotone measurement); a
-    decreasing step anywhere raises ValueError.
+    decreasing step anywhere raises ValueError, and so does a bare string
+    or bytes, whose characters or byte values would be read as the values.
     """
+    if isinstance(seq, (str, bytes)):
+        raise ValueError("sequence must hold rationals, not be a string or bytes")
     tolerance = as_rational(tol)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")

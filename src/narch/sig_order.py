@@ -20,7 +20,6 @@ the leading term of any ``x_i`` is read from integers without building it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -196,59 +195,6 @@ class SigPrimeDecision:
         return self.accepted
 
 
-def _breakpoints(
-    chain: AffineChain, upper: LaurentSeries, gap: Fraction
-) -> tuple[int, list[int]]:
-    """The stabilization index and the ascending candidate indices up to it.
-
-    Stabilization: past the returned index both certificate conditions
-    are constant. Each coefficient of ``base + i * step`` is affine in i,
-    so it has a fixed nonzero sign once i passes its single root. Past the
-    largest of those roots the chain's support, order, and
-    leading-coefficient sign are all frozen; the climb condition then
-    reduces to the constant test "step's coefficient at the frozen order
-    >= gap", and the only remaining i-dependence in the ceiling condition
-    is the equal-order coefficient comparison, which is monotone in i and
-    flips at one more affine root.
-
-    Candidates: indices in [0, stabilization] that contain the first
-    failure. Let e0 be the smallest exponent of base or step and
-    c(i) = b + i * s the coefficient of ``x_i`` there. Wherever c(i) and
-    c(i+1) are both nonzero, ``x_i`` and ``x_{i+1}`` have order e0 with
-    leading coefficients c(i) and c(i+1), so the climb condition is the
-    constant test s >= gap, and the ceiling condition against ``upper``
-    (order u, leading coefficient lam) is the constant lam > 0 when
-    e0 > u, the sign test c(i) < 0 when e0 < u (this includes a zero
-    ``upper``), and the threshold c(i) <= lam - gap when e0 == u. Away
-    from the root rho = -b/s the failing indices are therefore all of
-    them, none, or (climb holding forces s > 0) every i above rho or above
-    the crossing tau = (lam - gap - b)/s. The only other indices are
-    rho - 1 and rho when rho is an integer, where ``x_{i+1}`` or ``x_i``
-    drops order or vanishes. So the first failure is among {0, 1, 2}, a
-    window around rho, or a window around tau, shifted by up to two to
-    step over rho - 1 and rho.
-
-    Only the exponents of ``step`` have a nonzero slope, and s is nonzero
-    at e0 exactly when step's order is at most base's.
-    """
-    base, step = chain.base, chain.step
-    stabilization = 0
-    for exponent, slope in step.terms:
-        root = -base.coefficient(exponent) / slope
-        stabilization = max(stabilization, math.floor(root) + 1)
-    candidates = {0, 1, 2}
-    if step.terms and step.order() <= base.order():
-        lowest, slope = step.terms[0]
-        intercept = base.coefficient(lowest)
-        root = math.floor(-intercept / slope)
-        candidates.update(range(root - 1, root + 3))
-        if upper.order() == lowest:
-            crossing = math.floor((upper.leading_coeff() - gap - intercept) / slope)
-            stabilization = max(stabilization, crossing + 1)
-            candidates.update(range(crossing - 1, crossing + 4))
-    return stabilization, sorted(i for i in candidates if 0 <= i <= stabilization)
-
-
 def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:
     """Rows ``(e, p, q, d)``, ascending in e over the exponents of base and step.
 
@@ -278,6 +224,60 @@ def _leading_at(rows: list[tuple[int, int, int, int]], i: int) -> tuple:
     return _ZERO_PARTS
 
 
+def _breakpoints(
+    rows: list[tuple[int, int, int, int]], top: tuple, gn: int, gd: int
+) -> tuple[int, list[int]]:
+    """The stabilization index and the ascending candidate indices up to it.
+
+    ``rows`` are the chain's :func:`_affine_rows`, ``top`` is ``upper``'s
+    leading parts and gn/gd > 0 the gap; every floor is an integer ``//``.
+
+    Stabilization: a row with q != 0 has one root -p/q, past which its
+    coefficient keeps a nonzero sign. Past the largest root the support,
+    order and leading sign of ``x_i`` are frozen, the climb is the constant
+    test "slope at that order >= gap", and the ceiling can flip once more,
+    where an equal-order coefficient crosses lam - gap.
+
+    Candidates: 0, floor(rho), floor(rho) + 1 and floor(tau) + 1. Let
+    c(i) = b + i * s be the coefficient of ``x_i`` at the first row's
+    exponent e0. If s = 0, every ``x_i`` leads with b at e0 and the climb
+    fails at 0. Otherwise call i generic when c(i) and c(i+1) are nonzero:
+    the climb is then the constant test s >= gap, so with s < gap every
+    generic index fails it, and the ceiling against ``upper`` (order u,
+    leading coefficient lam) is constant when e0 > u, c(i) < 0 when e0 < u
+    (a zero ``upper`` included) and c(i) <= lam - gap when e0 == u. Only
+    rho - 1 and rho, for an integer root rho = -b/s, are not generic. For
+    a first failure F > 0:
+
+    - F = rho is a candidate.
+    - At rho - 1 the climb holds exactly when s > 0 (``x_{i+1}`` drops
+      order), which the generic F - 1 forces, and the ceiling test is the
+      generic one: F = rho - 1 only as in the last case.
+    - At rho the climb holds when s > 0; after F - 1 = rho, F = floor(rho) + 1.
+    - After a generic F - 1 only the ceiling can newly fail: c turns
+      nonnegative (e0 < u, F = floor(rho) + 1) or crosses lam - gap
+      upwards (e0 == u, F = floor(tau) + 1 for tau = (lam - gap - b) / s).
+
+    Both are at most the stabilization index, so clipping drops only
+    negative indices.
+    """
+    stabilization = 0
+    for _, p, q, _ in rows:
+        if q:
+            stabilization = max(stabilization, -p // q + 1)
+    candidates = {0}
+    if rows and rows[0][2]:
+        exponent, p, q, d = rows[0]
+        root = -p // q
+        candidates.update((root, root + 1))
+        order, un, ud = top
+        if order == exponent:
+            crossing = ((un * gd - gn * ud) * d - p * ud * gd) // (q * ud * gd)
+            stabilization = max(stabilization, crossing + 1)
+            candidates.add(crossing + 1)
+    return stabilization, sorted(i for i in candidates if 0 <= i <= stabilization)
+
+
 def decide_affine_sig_prime(
     cert: SigPrimeCertificate, r: ThresholdLike
 ) -> SigPrimeDecision:
@@ -287,17 +287,17 @@ def decide_affine_sig_prime(
     below ``x_{i+1}`` and below ``upper``) are constant, and a constant
     condition that held at the index keeps holding, so the smallest
     failing i up to that index, if any, decides the whole infinite chain.
-    That i is found without scanning: :func:`_breakpoints` gives
-    O(1) breakpoint indices that must contain it, and each candidate, in
-    ascending order, is tested with the exact significant order on the
-    leading terms of ``x_i``, ``x_{i+1}`` and ``upper``, which is all that
-    :func:`sig_less_laurent` reads. The leading term of ``x_i`` is the first
-    exponent where the integer numerator of b + i * s is nonzero, so no
+    That i is found without scanning: :func:`_breakpoints` reads at most
+    four candidates off the chain's integer rows, 0, floor(rho),
+    floor(rho) + 1 and floor(tau) + 1, and its case argument shows that the
+    first failure is among them. Each candidate, in ascending order, is
+    tested with the exact significant order on the leading terms of
+    ``x_i``, ``x_{i+1}`` and ``upper``, which is all that
+    :func:`sig_less_laurent` reads; the leading term of ``x_i`` is the
+    first row where the integer numerator of b + i * s is nonzero, so no
     chain element is built. The first candidate that fails is the answer,
     since every smaller candidate was tested and passed; if none fails, no
-    index fails. Candidates beyond the necessary ones cannot change the
-    result, because none of them is judged by anything but the exact
-    predicate. Rejections report the smallest violating i and the
+    index fails. Rejections report the smallest violating i and the
     condition that failed there.
 
     Raises ValueError when the chain does not start at ``lower``.
@@ -305,16 +305,13 @@ def decide_affine_sig_prime(
     gap = _threshold(r)
     if cert.chain.base != cert.lower:
         raise ValueError("certificate chain must start at its lower element")
-    stabilization, candidates = _breakpoints(cert.chain, cert.upper, gap)
     gn, gd = gap.numerator, gap.denominator
     rows = _affine_rows(cert.chain)
     top = _leading(cert.upper)
-    previous, successor = None, None
+    stabilization, candidates = _breakpoints(rows, top, gn, gd)
     for i in candidates:
-        current = successor if previous == i - 1 else _leading_at(rows, i)
-        successor = _leading_at(rows, i + 1)
-        previous = i
-        if not _sig_less(current, successor, gn, gd):
+        current = _leading_at(rows, i)
+        if not _sig_less(current, _leading_at(rows, i + 1), gn, gd):
             return SigPrimeDecision(False, i, stabilization, "climb")
         if not _sig_less(current, top, gn, gd):
             return SigPrimeDecision(False, i, stabilization, "ceiling")

@@ -433,6 +433,13 @@ class TestDiminishingReturns:
         with pytest.raises(ValueError):
             diminishing_returns_index([1, 2], 0)
 
+    @pytest.mark.parametrize("seq", ["1357", b"1357"], ids=["str", "bytes"])
+    def test_rejects_a_bare_string(self, seq):
+        # read item by item, both would give the plateau index 0
+        with pytest.raises(ValueError, match="string or bytes"):
+            diminishing_returns_index(seq, 3)
+        assert diminishing_returns_index(["1", "3", "5", "7"], 3) == 0
+
     @given(
         st.lists(
             st.fractions(min_value=0, max_value=4, max_denominator=8),

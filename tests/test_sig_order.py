@@ -188,16 +188,29 @@ class TestDecideAffine:
         )
         assert decide_affine_sig_prime(cert, 1).accepted
 
-    def test_ceiling_reached_rejected_later(self):
-        # climbs by 1 at order 0 under ceiling 5: fails once the chain catches up
+    # (base, step, upper, first failure, condition) at r = 1, one case per
+    # candidate index of the decision: dropping a candidate fails its case
+    FIRST_FAILURES = {
+        # slope 1/2 < r: the climb fails at once, before the candidate floor(tau) + 1 = 17
+        "zero": ("1", "1/2", "10", 0, "climb"),
+        # x_i = (i - 2) + eps: the root 2 is an integer, x_2 = eps drops to
+        # order 1 and is not below the ceiling eps^2, which x_0, x_1 < 0 are
+        "rho": ("-2 + 1 eps^1", "1", "1 eps^2", 2, "ceiling"),
+        # x_i = i - 5/2 turns positive after its root 5/2, under the ceiling eps
+        "rho_plus_one": ("-5/2", "1", "1 eps^1", 3, "ceiling"),
+        # x_i = i climbs under the ceiling 5 until the crossing 5 - r = 4
+        "tau_plus_one": ("0", "1", "5", 5, "ceiling"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FIRST_FAILURES))
+    def test_first_failure_at_each_candidate(self, case):
+        base, step, upper, index, condition = self.FIRST_FAILURES[case]
         cert = SigPrimeCertificate(
-            lower=ZERO,
-            upper=monomial(5, 0),
-            chain=AffineChain(ZERO, monomial(1, 0)),
+            lower=parse(base), upper=parse(upper), chain=AffineChain(parse(base), parse(step))
         )
         decision = decide_affine_sig_prime(cert, 1)
-        assert not decision.accepted
-        assert decision.violation_index == brute_force_violation(cert, Fraction(1), decision.stabilization_index + 100)
+        assert (decision.violation_index, decision.failed_condition) == (index, condition)
+        assert index == brute_force_violation(cert, 1, decision.stabilization_index + 100)
 
     def test_failed_condition_climb(self):
         # x_0 = 1 and x_1 = 1 + eps share order and leading coefficient
