@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, NamedTuple, Optional, TextIO, Union
 
 from .laurent import (
@@ -30,7 +31,6 @@ from .laurent import (
     RationalLike,
     ZERO,
     _integer,
-    _ratio_text,
     as_rational,
     compare_scaled,
     format_series,
@@ -406,6 +406,14 @@ def reward_text(value: RewardValue) -> str:
     if isinstance(value, LaurentSeries):
         return format_series(value)
     return str(value)
+
+
+def _ratio_text(numerator: int, denominator: int, suffix: str = "") -> str:
+    """numerator/denominator in lowest terms with one gcd, then ``suffix``; one mean cell."""
+    divisor = gcd(numerator, denominator)
+    if divisor == denominator:
+        return f"{numerator // divisor}{suffix}"
+    return f"{numerator // divisor}/{denominator // divisor}{suffix}"
 
 
 def _scripted_rows(

@@ -8,9 +8,13 @@ positive rational while ``1 eps^-1`` sits above every rational. Two series
 are ordered by comparing coefficients at the smallest exponent where they
 differ.
 
-Coefficients are exact :class:`fractions.Fraction` values, never floats,
-so ordering decisions are never corrupted by rounding. All values are
-immutable and all functions are pure; sharing across threads is safe.
+Coefficients are exact rationals, never floats, so ordering decisions are
+never corrupted by rounding. Inside the kernel each term is an integer row
+``(exponent, numerator, denominator)`` kept in lowest terms by one
+``math.gcd`` per result; :class:`fractions.Fraction` values appear only at
+the boundary, when a caller reads ``terms`` or ``leading_coeff()``. All
+values are immutable and all functions are pure; sharing across threads is
+safe.
 
 Division of series is deliberately absent: the inverse of a finite-support
 series generally has infinite support.
@@ -18,12 +22,11 @@ series generally has infinite support.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 from typing import Iterable, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -121,24 +124,27 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 @total_ordering
-@dataclass(frozen=True)
 class LaurentSeries:
     """A finite-support formal Laurent series with rational coefficients.
 
-    ``terms`` holds (exponent, coefficient) pairs, strictly ascending by
-    exponent, with no zero coefficients; the empty tuple is the zero
-    series. Build values through :func:`normalize`, :func:`monomial` or
-    :func:`parse` rather than by hand; the constructor validates but does
+    A value is one tuple of integer rows ``(exponent, numerator,
+    denominator)``: exponents strictly ascending, denominator positive,
+    numerator nonzero, each row in lowest terms; the empty tuple is the
+    zero series. The rows are canonical, so equality and hashing read
+    them directly. ``terms`` gives the same value as (exponent,
+    :class:`~fractions.Fraction`) pairs, built when read. Build values
+    through :func:`normalize`, :func:`monomial` or :func:`parse` rather
+    than by hand; the constructor takes such pairs and validates but does
     not repair. ``__lt__`` states the order through :func:`compare`, and
-    ``total_ordering`` derives the rest.
+    ``total_ordering`` derives the rest. Values are immutable.
     """
 
-    terms: tuple[TermPair, ...] = ()
+    __slots__ = ("_rows",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(tuple(pair) for pair in self.terms))
-        previous = None
-        for pair in self.terms:
+    def __init__(self, terms: Iterable[TermPair] = ()) -> None:
+        terms = tuple(tuple(pair) for pair in terms)
+        rows, previous = [], None
+        for pair in terms:
             if len(pair) != 2:
                 raise ValueError(f"term {pair!r} is not an (exponent, coefficient) pair")
             exponent, coeff = pair
@@ -150,21 +156,48 @@ class LaurentSeries:
             if previous is not None and exponent <= previous:
                 raise ValueError("exponents must be strictly ascending and unique")
             previous = exponent
+            rows.append((exponent, coeff.numerator, coeff.denominator))
+        _set_rows(self, tuple(rows))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor: the default
+        # slot restore would go through the blocking __setattr__
+        return LaurentSeries, (self.terms,)
+
+    @property
+    def terms(self) -> tuple[TermPair, ...]:
+        """The (exponent, coefficient) pairs, ascending; coefficients are Fractions."""
+        return tuple([(e, Fraction(n, d)) for e, n, d in self._rows])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._rows
 
     def order(self) -> OrderValue:
         """Smallest exponent carrying a nonzero coefficient; infinite for zero."""
-        if not self.terms:
+        if not self._rows:
             return PLUS_INFINITY
-        return self.terms[0][0]
+        return self._rows[0][0]
 
     def leading_coeff(self) -> Fraction:
         """Coefficient at the order, or 0 for the zero series."""
-        if not self.terms:
+        if not self._rows:
             return Fraction(0)
-        return self.terms[0][1]
+        _, num, den = self._rows[0]
+        return Fraction(num, den)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LaurentSeries):
+            return self._rows == other._rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         if isinstance(other, LaurentSeries):
@@ -194,7 +227,7 @@ class LaurentSeries:
         return NotImplemented
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._rows)
 
     def __str__(self) -> str:
         return format_series(self)
@@ -203,22 +236,31 @@ class LaurentSeries:
         return f"LaurentSeries({format_series(self)!r})"
 
 
-ZERO = LaurentSeries()
-ONE = LaurentSeries(((0, Fraction(1)),))
+_set_rows = LaurentSeries._rows.__set__  # the slot's own setter, past the blocking __setattr__
 
 
-def _raw(terms: tuple[TermPair, ...]) -> LaurentSeries:
-    # Arithmetic-internal constructor: callers guarantee the normalized-form
-    # invariants, so the validating __init__ is bypassed.
+def _raw(rows: tuple[tuple[int, int, int], ...]) -> LaurentSeries:
+    # Arithmetic-internal constructor: callers guarantee the row invariants,
+    # so the validating __init__ is bypassed.
     series = object.__new__(LaurentSeries)
-    object.__setattr__(series, "terms", terms)
+    _set_rows(series, rows)
     return series
+
+
+ZERO = _raw(())
+ONE = _raw(((0, 1, 1),))
+
+
+def _reduced(exponent: int, num: int, den: int) -> tuple[int, int, int]:
+    # The row for num/den (den > 0) at exponent, in lowest terms by one gcd.
+    divisor = gcd(num, den)
+    return exponent, num // divisor, den // divisor
 
 
 def _collect(triples: Iterable[tuple[int, int, int]]) -> LaurentSeries:
     # The one coefficient accumulator of constructors and products, over checked
     # (exponent, numerator, denominator > 0) integers: sums stay integer pairs,
-    # and one Fraction, which reduces, is built per surviving term.
+    # and each surviving sum is reduced to its row.
     acc: dict[int, tuple[int, int]] = {}
     for exponent, num, den in triples:
         if exponent in acc:
@@ -226,7 +268,7 @@ def _collect(triples: Iterable[tuple[int, int, int]]) -> LaurentSeries:
             acc[exponent] = (n + num, d) if d == den else (n * den + num * d, d * den)
         else:
             acc[exponent] = (num, den)
-    return _raw(tuple([(e, Fraction(n, d)) for e, (n, d) in sorted(acc.items()) if n]))
+    return _raw(tuple([_reduced(e, n, d) for e, (n, d) in sorted(acc.items()) if n]))
 
 
 def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
@@ -241,10 +283,10 @@ def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
 def monomial(coefficient: RationalLike, exponent: int) -> LaurentSeries:
     """The single-term series ``coefficient * eps^exponent`` (zero if c = 0)."""
     _integer(exponent)
-    coeff = as_rational(coefficient)
-    if coeff == 0:
+    num, den = _rational_parts(coefficient)
+    if num == 0:
         return ZERO
-    return _raw(((exponent, coeff),))
+    return _raw((_reduced(exponent, num, den),))
 
 
 def embed_rational(value: RationalLike) -> LaurentSeries:
@@ -253,22 +295,25 @@ def embed_rational(value: RationalLike) -> LaurentSeries:
 
 
 def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Merge of the two ascending term tuples; coefficients meet only at shared exponents."""
-    ta, tb = a.terms, b.terms
-    terms, i, j = [], 0, 0
-    while i < len(ta) and j < len(tb):
-        ea, eb = ta[i][0], tb[j][0]
+    """Merge of the two ascending row tuples; coefficients meet only at shared exponents."""
+    ra, rb = a._rows, b._rows
+    rows, i, j = [], 0, 0
+    while i < len(ra) and j < len(rb):
+        ea, na, da = ra[i]
+        eb, nb, db = rb[j]
         if ea != eb:
-            terms.append(ta[i] if ea < eb else tb[j])
-        elif total := ta[i][1] + tb[j][1]:
-            terms.append((ea, total))
+            rows.append(ra[i] if ea < eb else rb[j])
+        else:
+            n, d = (na + nb, da) if da == db else (na * db + nb * da, da * db)
+            if n:
+                rows.append(_reduced(ea, n, d))
         i += ea <= eb  # past the lower exponent, or past both where they meet
         j += eb <= ea
-    return _raw((*terms, *ta[i:], *tb[j:]))
+    return _raw((*rows, *ra[i:], *rb[j:]))
 
 
 def neg(a: LaurentSeries) -> LaurentSeries:
-    return _raw(tuple((e, -c) for e, c in a.terms))
+    return _raw(tuple([(e, -n, d) for e, n, d in a._rows]))
 
 
 def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -277,9 +322,8 @@ def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Convolution product over the finite supports, summed as integers."""
-    pa = [(e, c.numerator, c.denominator) for e, c in a.terms]
-    pb = [(e, c.numerator, c.denominator) for e, c in b.terms]
-    return _collect([(ea + eb, na * nb, da * db) for ea, na, da in pa for eb, nb, db in pb])
+    rb = b._rows
+    return _collect([(ea + eb, na * nb, da * db) for ea, na, da in a._rows for eb, nb, db in rb])
 
 
 def scalar_mul(q: RationalLike, a: LaurentSeries) -> LaurentSeries:
@@ -288,7 +332,7 @@ def scalar_mul(q: RationalLike, a: LaurentSeries) -> LaurentSeries:
         return ZERO
     if num == den:
         return a
-    return _raw(tuple((e, Fraction(num * c.numerator, den * c.denominator)) for e, c in a.terms))
+    return _raw(tuple([_reduced(e, num * n, den * d) for e, n, d in a._rows]))
 
 
 def compare(a: LaurentSeries, b: LaurentSeries) -> Ordering:
@@ -305,32 +349,32 @@ def compare_scaled(a: LaurentSeries, ka: int, b: LaurentSeries, kb: int) -> Orde
 
     The one term-by-term walk; :func:`compare` is scales (1, 1). The
     result equals comparing ``scalar_mul(ka, a)`` with ``scalar_mul(kb, b)``,
-    but coefficient components are cross-multiplied as integers, so
-    nothing is allocated. Positive scaling preserves signs, which keeps
-    the surplus-term cases unchanged.
+    but the rows' numerators and denominators are cross-multiplied as
+    integers, so nothing is allocated. Positive scaling preserves signs,
+    which keeps the surplus-term cases unchanged.
     """
     if _integer(ka, "scale") < 1 or _integer(kb, "scale") < 1:
         raise ValueError("scales must be positive")
-    ta, tb = a.terms, b.terms
+    ra, rb = a._rows, b._rows
     i = j = 0
-    while i < len(ta) and j < len(tb):
-        ea, ca = ta[i]
-        eb, cb = tb[j]
+    while i < len(ra) and j < len(rb):
+        ea, na, da = ra[i]
+        eb, nb, db = rb[j]
         if ea == eb:
-            lhs = ka * ca.numerator * cb.denominator
-            rhs = kb * cb.numerator * ca.denominator
+            lhs = ka * na * db
+            rhs = kb * nb * da
             if lhs != rhs:
                 return Ordering.LESS if lhs < rhs else Ordering.GREATER
             i += 1
             j += 1
         elif ea < eb:
-            return Ordering.GREATER if ca > 0 else Ordering.LESS
+            return Ordering.GREATER if na > 0 else Ordering.LESS
         else:
-            return Ordering.LESS if cb > 0 else Ordering.GREATER
-    if i < len(ta):
-        return Ordering.GREATER if ta[i][1] > 0 else Ordering.LESS
-    if j < len(tb):
-        return Ordering.LESS if tb[j][1] > 0 else Ordering.GREATER
+            return Ordering.LESS if nb > 0 else Ordering.GREATER
+    if i < len(ra):
+        return Ordering.GREATER if ra[i][1] > 0 else Ordering.LESS
+    if j < len(rb):
+        return Ordering.LESS if rb[j][1] > 0 else Ordering.GREATER
     return Ordering.EQUAL
 
 
@@ -388,29 +432,23 @@ def parse(text: str) -> LaurentSeries:
         pos += 1
 
 
-def _ratio_text(numerator: int, denominator: int, suffix: str = "") -> str:
-    """numerator/denominator in lowest terms with one gcd, then ``suffix``; series and bandit cells."""
-    divisor = math.gcd(numerator, denominator)
-    if divisor == denominator:
-        return f"{numerator // divisor}{suffix}"
-    return f"{numerator // divisor}/{denominator // divisor}{suffix}"
-
-
 def format_series(a: LaurentSeries) -> str:
-    """Canonical text form, ascending exponents; inverse of :func:`parse`."""
+    """Canonical text form, ascending exponents; inverse of :func:`parse`.
+
+    Rows are in lowest terms, so each is printed as it stands.
+    """
     parts = []
-    for exponent, coeff in a.terms:
-        num = coeff.numerator
+    for exponent, num, den in a._rows:
         if parts:  # a later term is joined by its sign
             parts.append(" + " if num > 0 else " - ")
             num = abs(num)
-        parts.append(_ratio_text(num, coeff.denominator, f" eps^{exponent}"))
+        parts.append(f"{num} eps^{exponent}" if den == 1 else f"{num}/{den} eps^{exponent}")
     return "".join(parts) or "0"
 
 
 def series_to_json(a: LaurentSeries) -> dict:
     """JSON form ``{"terms": [[exponent, "num/den"], ...]}``, ascending."""
-    return {"terms": [[e, f"{c.numerator}/{c.denominator}"] for e, c in a.terms]}
+    return {"terms": [[e, f"{n}/{d}"] for e, n, d in a._rows]}
 
 
 def series_from_json(obj: object) -> LaurentSeries:

@@ -70,13 +70,13 @@ def sig_less_real(x: RationalLike, y: RationalLike, r: ThresholdLike) -> bool:
 # Leading parts (order, numerator, denominator > 0) of a series; the
 # fraction need not be reduced.
 _ZERO_PARTS = (PLUS_INFINITY, 0, 1)
+_NO_TERM = (0, 1)
 
 
 def _leading(series: LaurentSeries) -> tuple:
-    if not series.terms:
-        return _ZERO_PARTS
-    exponent, coeff = series.terms[0]
-    return exponent, coeff.numerator, coeff.denominator
+    """The series' first row as it stands, or the zero series' parts."""
+    rows = series._rows
+    return rows[0] if rows else _ZERO_PARTS
 
 
 def _sig_less(a: tuple, b: tuple, gn: int, gd: int) -> bool:
@@ -200,18 +200,16 @@ def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:
 
     The coefficient of ``x_i`` at e is (p + i * q) / d with d > 0, from
     base's b_num/b_den and step's s_num/s_den there: p = b_num * s_den,
-    q = s_num * b_den, d = b_den * s_den.
+    q = s_num * b_den, d = b_den * s_den, read off both series' rows; an
+    absent exponent counts as 0/1.
     """
-    base, step = dict(chain.base.terms), dict(chain.step.terms)
+    base = {e: (n, d) for e, n, d in chain.base._rows}
+    step = {e: (n, d) for e, n, d in chain.step._rows}
     rows = []
     for exponent in sorted(base.keys() | step.keys()):
-        b, s = base.get(exponent, 0), step.get(exponent, 0)
-        rows.append((
-            exponent,
-            b.numerator * s.denominator,
-            s.numerator * b.denominator,
-            b.denominator * s.denominator,
-        ))
+        b_num, b_den = base.get(exponent, _NO_TERM)
+        s_num, s_den = step.get(exponent, _NO_TERM)
+        rows.append((exponent, b_num * s_den, s_num * b_den, b_den * s_den))
     return rows
 
 

@@ -4,6 +4,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# An opt-in deeper run, e.g. HYPOTHESIS_PROFILE=ci pytest tests/test_laurent.py;
+# without the variable every test keeps Hypothesis' default settings.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"

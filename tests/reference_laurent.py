@@ -12,8 +12,10 @@ term as one match of a compiled pattern. The differential tests in
 compare the series, or the error message and its position. Every function
 here builds its result through this module's own ``normalize`` and
 ``as_rational``, so none shares the library's accumulator or rational
-reader; only the value types, ``ZERO``, ``_raw`` and the parse error are
-imported.
+reader; only the value types, ``ZERO`` and the parse error are imported,
+and every result is built through the public validating
+``LaurentSeries(terms)`` constructor, so none shares a constructor with
+the integer rows the library stores.
 """
 
 import re
@@ -26,7 +28,6 @@ from narch.laurent import (
     Ordering,
     RationalLike,
     SeriesParseError,
-    _raw,
 )
 
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -62,7 +63,7 @@ def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
             acc.pop(exponent, None)
         else:
             acc[exponent] = coeff
-    return _raw(tuple(sorted(acc.items())))
+    return LaurentSeries(tuple(sorted(acc.items())))
 
 
 def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -77,7 +78,7 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             acc.pop(exponent, None)
         else:
             acc[exponent] = total
-    return _raw(tuple(sorted(acc.items())))
+    return LaurentSeries(tuple(sorted(acc.items())))
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -91,7 +92,7 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
                 acc.pop(exponent, None)
             else:
                 acc[exponent] = total
-    return _raw(tuple(sorted(acc.items())))
+    return LaurentSeries(tuple(sorted(acc.items())))
 
 
 def compare(a: LaurentSeries, b: LaurentSeries) -> Ordering:
@@ -197,7 +198,7 @@ def scalar_mul(q: RationalLike, a: LaurentSeries) -> LaurentSeries:
         return ZERO
     if scale == 1:
         return a
-    return _raw(tuple((e, scale * c) for e, c in a.terms))
+    return LaurentSeries(tuple((e, scale * c) for e, c in a.terms))
 
 
 def format_series(a: LaurentSeries) -> str:

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import time
 from fractions import Fraction
 from random import Random
@@ -571,3 +573,155 @@ class TestParseAgainstReference:
             parse(text)
         assert time.perf_counter() - start < 2.0
         assert info.value.position == position
+
+
+def _assert_rows(value: LaurentSeries) -> None:
+    """The row invariant, and ``terms``/``leading_coeff`` built from the rows."""
+    rows = value._rows
+    assert type(rows) is tuple
+    for row in rows:
+        assert type(row) is tuple and len(row) == 3
+        assert all(type(part) is int for part in row)
+        _, num, den = row
+        assert den > 0 and num != 0 and math.gcd(num, den) == 1
+    exponents = [e for e, _, _ in rows]
+    assert exponents == sorted(set(exponents))
+    terms = value.terms
+    assert terms == tuple((e, Fraction(n, d)) for e, n, d in rows)
+    assert all(type(coeff) is Fraction for _, coeff in terms)
+    assert value.leading_coeff() == (terms[0][1] if terms else 0)
+    assert type(value.leading_coeff()) is Fraction
+
+
+def _unreduced_text(draw, value: LaurentSeries) -> str:
+    """``value`` as series text with each coefficient scaled by a common factor."""
+    parts = []
+    for exponent, coeff in value.terms:
+        k = draw(st.integers(1, 6))
+        parts.append(f"{coeff.numerator * k}/{coeff.denominator * k} eps^{exponent}")
+    return " + ".join(parts).replace("+ -", "- ") or "0/3"
+
+
+@st.composite
+def _routes(draw):
+    """One value of ``series()`` and the same value built along every constructor."""
+    a = draw(series())
+    q = draw(st.integers(1, 5))
+    unit = draw(st.sampled_from([1, Fraction(1), "1", f"{q}/{q}"]))
+    return a, [
+        parse(format_series(a)),
+        parse(_unreduced_text(draw, a)),
+        normalize(a.terms),
+        normalize((e, f"{c.numerator * q}/{c.denominator * q}") for e, c in a.terms),
+        normalize([*a.terms, (0, 1), (0, -1)]),
+        LaurentSeries(a.terms),
+        series_from_json(series_to_json(a)),
+        add(a, ZERO),
+        add(ZERO, a),
+        sub(a, ZERO),
+        neg(neg(a)),
+        mul(a, ONE),
+        scalar_mul(unit, a),
+        scalar_mul(Fraction(1, q), scalar_mul(q, a)),
+        sum((monomial(f"{c.numerator * q}/{c.denominator * q}", e) for e, c in a.terms), ZERO),
+    ]
+
+
+class TestRows:
+    """Integer rows inside, ``Fraction`` pairs only where ``terms`` is read."""
+
+    @given(_raw_pairs(_wide_coefficients()), _raw_pairs(_wide_coefficients()), _wide_coefficients())
+    def test_every_result_meets_the_row_invariant(self, p, q, k):
+        a, b = normalize(p), normalize(q)
+        for value in (
+            a, b, parse(format_series(a)), add(a, b), sub(a, b), neg(a), mul(a, b),
+            scalar_mul(k, a), LaurentSeries(a.terms), series_from_json({"terms": [
+                [e, f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c]
+                for e, c in p
+            ]}),
+        ):
+            _assert_rows(value)
+
+    @given(_wide_coefficients(), st.integers(-5, 5))
+    def test_monomial_meets_the_row_invariant(self, coefficient, exponent):
+        value = monomial(coefficient, exponent)
+        _assert_rows(value)
+        assert value.terms == (((exponent, as_rational(coefficient)),) if value else ())
+
+    @given(_series_texts())
+    def test_parse_results_meet_the_row_invariant(self, text):
+        try:
+            value = parse(text)
+        except SeriesParseError:
+            return
+        _assert_rows(value)
+
+    def test_equal_values_from_every_route(self):
+        half = [
+            parse("2/4 eps^1"),
+            normalize([(1, "1/2")]),
+            LaurentSeries(((1, Fraction(1, 2)),)),
+            monomial("3/6", 1),
+            scalar_mul(Fraction(1, 2), monomial(1, 1)),
+            add(monomial(1, 1), monomial("-1/2", 1)),
+            series_from_json({"terms": [[1, "7/14"]]}),
+        ]
+        for value in half:
+            _assert_rows(value)
+            assert value._rows == ((1, 1, 2),)
+            assert value == half[0] and hash(value) == hash(half[0])
+        assert len(set(half)) == 1
+
+    @given(_routes())
+    def test_equal_values_are_equal_and_hash_alike(self, routes):
+        a, built = routes
+        for value in built:
+            _assert_rows(value)
+            assert value == a and not value != a
+            assert hash(value) == hash(a)
+            assert value.terms == a.terms
+        assert len({a, *built}) == 1
+
+    @pytest.mark.parametrize("name", ["terms", "_rows", "other"])
+    def test_values_are_immutable(self, name):
+        value = parse("1 eps^0 - 1/2 eps^3")
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert value == parse("1 - 1/2 eps^3")
+
+    @given(series())
+    def test_repr_and_str_are_unchanged(self, a):
+        assert str(a) == reference.format_series(a)
+        assert repr(a) == f"LaurentSeries({reference.format_series(a)!r})"
+
+    def test_repr_examples(self):
+        assert repr(ZERO) == "LaurentSeries('0')"
+        assert repr(parse("5 eps^-1 - 2/4 eps^3")) == "LaurentSeries('5 eps^-1 - 1/2 eps^3')"
+        assert str(monomial(-3, 2)) == "-3 eps^2"
+
+    @pytest.mark.parametrize(
+        "terms, error, message",
+        [
+            (((0,),), ValueError, "term (0,) is not an (exponent, coefficient) pair"),
+            ((("0", Fraction(1)),), TypeError, "exponent must be an integer, got '0'"),
+            (((0, 1),), TypeError, "coefficient 1 is not a Fraction"),
+            (((0, Fraction(0)),), ValueError, "normalized series cannot store a zero coefficient"),
+            (((1, Fraction(1)), (1, Fraction(2))), ValueError,
+             "exponents must be strictly ascending and unique"),
+        ],
+    )
+    def test_constructor_messages_are_unchanged(self, terms, error, message):
+        with pytest.raises(error) as info:
+            LaurentSeries(terms)
+        assert str(info.value) == message
+
+    def test_constructor_reads_lists_and_keywords(self):
+        assert LaurentSeries(terms=[[2, Fraction(4, 6)]]) == monomial("2/3", 2)
+        assert LaurentSeries() == LaurentSeries([]) == ZERO
+
+    @given(series())
+    def test_copies_and_pickles_are_equal(self, a):
+        assert copy.copy(a) == a and copy.deepcopy(a) == a
+        assert pickle.loads(pickle.dumps(a)) == a

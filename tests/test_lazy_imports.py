@@ -173,3 +173,20 @@ print(code, "json" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "False"]
+
+
+def test_compare_does_not_import_dataclasses_or_inspect():
+    # the kernel's series class is a plain slotted class; -S keeps site's imports out
+    code = """
+import contextlib, io, sys
+import narch.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = narch.cli.main(["compare", "--lhs", "1/2 eps^1", "--rhs", "0"])
+print(code, "dataclasses" in sys.modules, "inspect" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "False", "False"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narch.laurent import Ordering, ZERO, add, compare, monomial, parse
+from narch.laurent import LaurentSeries, Ordering, ZERO, add, compare, monomial, parse
 from narch.sig_order import (
     AffineChain,
     SigPrimeCertificate,
@@ -474,3 +474,47 @@ class TestIntegerLeadingTerms:
             verify_nonarch_prefix([], ZERO, 0)
         with pytest.raises(ValueError, match="non-empty"):
             verify_nonarch_prefix([], ZERO, 1)
+
+
+def _fraction_affine_rows(chain: AffineChain) -> list:
+    """``_affine_rows`` computed from the ``Fraction`` pairs that ``terms`` builds."""
+    base, step = dict(chain.base.terms), dict(chain.step.terms)
+    rows = []
+    for exponent in sorted(base.keys() | step.keys()):
+        b, s = base.get(exponent, Fraction(0)), step.get(exponent, Fraction(0))
+        rows.append((
+            exponent,
+            b.numerator * s.denominator,
+            s.numerator * b.denominator,
+            b.denominator * s.denominator,
+        ))
+    return rows
+
+
+class TestDecisionReadsRows:
+    """Decisions read the series' integer rows; no ``Fraction`` coefficient is built."""
+
+    @given(series(), series())
+    def test_affine_rows_match_the_fraction_pairs(self, base, step):
+        chain = AffineChain(base, step)
+        assert _affine_rows(chain) == _fraction_affine_rows(chain)
+
+    def test_sampled_affine_rows_match_the_fraction_pairs(self):
+        rnd = Random(0xA0F5)
+        for cert, _ in _sampled_certificates(rnd, 2000):
+            assert _affine_rows(cert.chain) == _fraction_affine_rows(cert.chain)
+
+    def test_decisions_build_no_coefficient(self, monkeypatch):
+        rnd = Random(0xB0B5)
+        sampled = list(_sampled_certificates(rnd, 400))
+        expected = [decide_affine_sig_prime(cert, r) for cert, r in sampled]
+
+        def refuse(self, *args):
+            raise AssertionError("a decision read a Fraction coefficient")
+
+        monkeypatch.setattr(LaurentSeries, "terms", property(refuse))
+        monkeypatch.setattr(LaurentSeries, "leading_coeff", refuse)
+        assert [decide_affine_sig_prime(cert, r) for cert, r in sampled] == expected
+        chain, y = laurent_nonarch_witness(Fraction(1, 3), 5)
+        assert verify_nonarch_prefix(chain, y, Fraction(1, 3))
+        assert sig_less_laurent(chain[0], y, 1)
