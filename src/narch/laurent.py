@@ -12,9 +12,9 @@ Coefficients are exact rationals, never floats, so ordering decisions are
 never corrupted by rounding. Inside the kernel each term is an integer row
 ``(exponent, numerator, denominator)`` kept in lowest terms by one
 ``math.gcd`` per result; :class:`fractions.Fraction` values appear only at
-the boundary, when a caller reads ``terms`` or ``leading_coeff()``. All
-values are immutable and all functions are pure; sharing across threads is
-safe.
+the boundary, in ``terms`` and ``leading_coeff()``; one reader gives a
+value's first row, ``(PLUS_INFINITY, 0, 1)`` for zero. Values are
+immutable and functions pure; sharing across threads is safe.
 
 Division of series is deliberately absent: the inverse of a finite-support
 series generally has infinite support.
@@ -180,15 +180,11 @@ class LaurentSeries:
 
     def order(self) -> OrderValue:
         """Smallest exponent carrying a nonzero coefficient; infinite for zero."""
-        if not self._rows:
-            return PLUS_INFINITY
-        return self._rows[0][0]
+        return _leading_row(self)[0]
 
     def leading_coeff(self) -> Fraction:
         """Coefficient at the order, or 0 for the zero series."""
-        if not self._rows:
-            return Fraction(0)
-        _, num, den = self._rows[0]
+        _, num, den = _leading_row(self)
         return Fraction(num, den)
 
     def __eq__(self, other: object) -> bool:
@@ -249,6 +245,12 @@ def _raw(rows: tuple[tuple[int, int, int], ...]) -> LaurentSeries:
 
 ZERO = _raw(())
 ONE = _raw(((0, 1, 1),))
+_ZERO_ROW = (PLUS_INFINITY, 0, 1)  # the zero series' leading row: infinite order, 0/1
+
+
+def _leading_row(a: LaurentSeries) -> tuple:
+    """The leading term's row (order, numerator, denominator): the first row, or ``_ZERO_ROW``."""
+    return a._rows[0] if a._rows else _ZERO_ROW
 
 
 def _reduced(exponent: int, num: int, den: int) -> tuple[int, int, int]:
@@ -347,34 +349,27 @@ def compare(a: LaurentSeries, b: LaurentSeries) -> Ordering:
 def compare_scaled(a: LaurentSeries, ka: int, b: LaurentSeries, kb: int) -> Ordering:
     """Compare ka * a against kb * b for positive integer scales.
 
-    The one term-by-term walk; :func:`compare` is scales (1, 1). The
+    The one comparison walk; :func:`compare` is scales (1, 1). The
     result equals comparing ``scalar_mul(ka, a)`` with ``scalar_mul(kb, b)``,
-    but the rows' numerators and denominators are cross-multiplied as
-    integers, so nothing is allocated. Positive scaling preserves signs,
-    which keeps the surplus-term cases unchanged.
+    but row integers are cross-multiplied, so nothing is allocated.
+    Canonical rows put equal prefixes at equal positions, so one index
+    walks both; past the shorter tuple, the longer one's next row decides.
     """
     if _integer(ka, "scale") < 1 or _integer(kb, "scale") < 1:
         raise ValueError("scales must be positive")
     ra, rb = a._rows, b._rows
-    i = j = 0
-    while i < len(ra) and j < len(rb):
-        ea, na, da = ra[i]
-        eb, nb, db = rb[j]
-        if ea == eb:
-            lhs = ka * na * db
-            rhs = kb * nb * da
-            if lhs != rhs:
-                return Ordering.LESS if lhs < rhs else Ordering.GREATER
-            i += 1
-            j += 1
-        elif ea < eb:
+    for (ea, na, da), (eb, nb, db) in zip(ra, rb):
+        if ea < eb:
             return Ordering.GREATER if na > 0 else Ordering.LESS
-        else:
+        if ea > eb:
             return Ordering.LESS if nb > 0 else Ordering.GREATER
-    if i < len(ra):
-        return Ordering.GREATER if ra[i][1] > 0 else Ordering.LESS
-    if j < len(rb):
-        return Ordering.LESS if rb[j][1] > 0 else Ordering.GREATER
+        lhs, rhs = ka * na * db, kb * nb * da
+        if lhs != rhs:
+            return Ordering.LESS if lhs < rhs else Ordering.GREATER
+    if len(ra) > len(rb):
+        return Ordering.GREATER if ra[len(rb)][1] > 0 else Ordering.LESS
+    if len(rb) > len(ra):
+        return Ordering.LESS if rb[len(ra)][1] > 0 else Ordering.GREATER
     return Ordering.EQUAL
 
 

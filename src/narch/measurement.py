@@ -33,11 +33,13 @@ from .sig_order import SigThreshold, ThresholdLike, _threshold
 class FiniteSigStructure:
     """Finite labelled elements with an explicit significantly-less relation.
 
-    Labels are strings. Each relation entry must be a tuple or list of two
-    declared labels; anything else (a bare string such as ``"ab"``, a
-    number) raises ValueError instead of being coerced. The validation pass
-    also collects each element's row of the relation, from which it stores
-    the nested-row index that :func:`is_accurate_measurement` reads.
+    Labels are strings, given in an ordered sequence (a set raises
+    ValueError: its order depends on the hash seed). Each relation entry
+    must be a tuple or list of two declared labels; anything else (a bare
+    string such as ``"ab"``, a number, a list) raises ValueError instead of
+    being coerced. The validation pass also collects each element's row of
+    the relation, from which it stores the nested-row index that
+    :func:`is_accurate_measurement` reads.
     """
 
     elements: tuple[str, ...]
@@ -46,6 +48,8 @@ class FiniteSigStructure:
     def __post_init__(self) -> None:
         if isinstance(self.elements, str):
             raise ValueError("elements must be a sequence of labels, not one string")
+        if isinstance(self.elements, (set, frozenset)):
+            raise ValueError("elements must be an ordered sequence of labels, not a set")
         elements = tuple(self.elements)
         for label in elements:
             if not isinstance(label, str):
@@ -63,7 +67,7 @@ class FiniteSigStructure:
             x1, x2 = entry
             try:
                 rows[index[x1]].add(index[x2])
-            except KeyError:
+            except (KeyError, TypeError):  # undeclared, or unhashable and so never declared
                 raise ValueError(
                     f"relation pair {entry!r} references undeclared elements"
                 ) from None
@@ -122,7 +126,8 @@ def is_accurate_measurement(
 
     The assignment is accurate iff the relation R equals the set S of
     separated ordered pairs, those with ``f(x1) + r <= f(x2)``; pairs
-    outside R matter too. Raises ValueError when an element has no value.
+    outside R matter too. Raises ValueError when an element has no value
+    or a value's label is not an element.
 
     The element indices are sorted by value once, giving each element its
     rank ``pos[i]``. One ascending sweep then gives ``first[i]``, the rank
@@ -163,6 +168,9 @@ def is_accurate_measurement(
         vals = [values[x] for x in structure.elements]
     except KeyError as missing:
         raise ValueError(f"no value assigned to element {missing.args[0]!r}") from None
+    if len(values) != len(vals):
+        extra = sorted(values.keys() - set(structure.elements))[0]
+        raise ValueError(f"value assigned to undeclared element {extra!r}")
     if structure._nested is None:
         return False
     wanted, lowest = structure._nested
@@ -227,10 +235,13 @@ def diminishing_returns_index(
 
     The sequence must be non-decreasing (a monotone measurement); a
     decreasing step anywhere raises ValueError, and so does a bare string
-    or bytes, whose characters or byte values would be read as the values.
+    or bytes, whose characters or byte values would be read as the values,
+    or a set, whose order depends on the hash seed.
     """
     if isinstance(seq, (str, bytes)):
         raise ValueError("sequence must hold rationals, not be a string or bytes")
+    if isinstance(seq, (set, frozenset)):
+        raise ValueError("sequence must be ordered, not a set")
     tolerance = as_rational(tol)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")

@@ -2,11 +2,11 @@
 
 ``sig_less_real`` and ``sig_less_laurent`` decide "x is significantly less
 than y" for a fixed positive threshold r: on rationals this is a gap of at
-least r, on Laurent values it is decided by orders and leading
-coefficients, compared as integer numerators and denominators. The reals
-satisfy an escape property under this relation (every strictly climbing
-chain eventually significantly exceeds any fixed value); Laurent values
-do not, and :func:`laurent_nonarch_witness` builds the explicit
+least r, on Laurent values it is decided in integers by the leading rows
+(order, numerator, denominator) that the kernel's one reader gives. The
+reals satisfy an escape property under this relation (every strictly
+climbing chain eventually significantly exceeds any fixed value); Laurent
+values do not, and :func:`laurent_nonarch_witness` builds the explicit
 counterexample chain together with the value it never overtakes.
 
 A derived, coarser relation ``lower <<' upper`` holds when some infinite
@@ -25,10 +25,11 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .laurent import (
-    PLUS_INFINITY,
+    _ZERO_ROW,
     LaurentSeries,
     RationalLike,
     _integer,
+    _leading_row,
     add,
     as_rational,
     monomial,
@@ -45,9 +46,8 @@ class SigThreshold:
     r: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", as_rational(self.r))
-        if self.r <= 0:
-            raise ValueError("threshold must be positive")
+        # as_rational first: a SigThreshold is not a rational and raises TypeError
+        object.__setattr__(self, "r", _threshold(as_rational(self.r)))
 
 
 ThresholdLike = Union[SigThreshold, Fraction, int, str]
@@ -67,20 +67,11 @@ def sig_less_real(x: RationalLike, y: RationalLike, r: ThresholdLike) -> bool:
     return as_rational(x) <= as_rational(y) - _threshold(r)
 
 
-# Leading parts (order, numerator, denominator > 0) of a series; the
-# fraction need not be reduced.
-_ZERO_PARTS = (PLUS_INFINITY, 0, 1)
-_NO_TERM = (0, 1)
-
-
-def _leading(series: LaurentSeries) -> tuple:
-    """The series' first row as it stands, or the zero series' parts."""
-    rows = series._rows
-    return rows[0] if rows else _ZERO_PARTS
+_NO_TERM = (0, 1)  # an absent exponent's coefficient
 
 
 def _sig_less(a: tuple, b: tuple, gn: int, gd: int) -> bool:
-    """:func:`sig_less_laurent` on leading parts, for the gap gn/gd > 0, in integers."""
+    """:func:`sig_less_laurent` on leading rows, for the gap gn/gd > 0, in integers."""
     order_a, na, da = a
     order_b, nb, db = b
     if order_a > order_b:
@@ -100,7 +91,7 @@ def sig_less_laurent(a: LaurentSeries, b: LaurentSeries, r: ThresholdLike) -> bo
     r apart. The zero series has infinite order and leading coefficient 0.
     """
     gap = _threshold(r)
-    return _sig_less(_leading(a), _leading(b), gap.numerator, gap.denominator)
+    return _sig_less(_leading_row(a), _leading_row(b), gap.numerator, gap.denominator)
 
 
 def verify_chain_prefix(seq: Sequence[LaurentSeries], r: ThresholdLike) -> bool:
@@ -109,9 +100,8 @@ def verify_chain_prefix(seq: Sequence[LaurentSeries], r: ThresholdLike) -> bool:
         raise ValueError("chain prefix must be non-empty")
     gap = _threshold(r)
     gn, gd = gap.numerator, gap.denominator
-    return all(
-        _sig_less(_leading(seq[i]), _leading(seq[i + 1]), gn, gd) for i in range(len(seq) - 1)
-    )
+    leads = [_leading_row(x) for x in seq]
+    return all(_sig_less(a, b, gn, gd) for a, b in zip(leads, leads[1:]))
 
 
 def laurent_nonarch_witness(
@@ -139,10 +129,10 @@ def verify_nonarch_prefix(
     if not verify_chain_prefix(chain, gap):
         return False
     gn, gd = gap.numerator, gap.denominator
-    top = _leading(y)
-    if not all(_sig_less(_leading(x), top, gn, gd) for x in chain):
+    top = _leading_row(y)
+    if not all(_sig_less(_leading_row(x), top, gn, gd) for x in chain):
         return False
-    return not any(_sig_less(top, _leading(x), gn, gd) for x in chain)
+    return not any(_sig_less(top, _leading_row(x), gn, gd) for x in chain)
 
 
 @dataclass(frozen=True)
@@ -214,12 +204,12 @@ def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:
 
 
 def _leading_at(rows: list[tuple[int, int, int, int]], i: int) -> tuple:
-    """Leading parts of ``x_i``: its first row with a nonzero coefficient."""
+    """The leading row of ``x_i``: its first row with a nonzero coefficient, unreduced."""
     for exponent, p, q, d in rows:
         numerator = p + i * q
         if numerator:
             return exponent, numerator, d
-    return _ZERO_PARTS
+    return _ZERO_ROW
 
 
 def _breakpoints(
@@ -228,7 +218,7 @@ def _breakpoints(
     """The stabilization index and the ascending candidate indices up to it.
 
     ``rows`` are the chain's :func:`_affine_rows`, ``top`` is ``upper``'s
-    leading parts and gn/gd > 0 the gap; every floor is an integer ``//``.
+    leading row and gn/gd > 0 the gap; every floor is an integer ``//``.
 
     Stabilization: a row with q != 0 has one root -p/q, past which its
     coefficient keeps a nonzero sign. Past the largest root the support,
@@ -305,7 +295,7 @@ def decide_affine_sig_prime(
         raise ValueError("certificate chain must start at its lower element")
     gn, gd = gap.numerator, gap.denominator
     rows = _affine_rows(cert.chain)
-    top = _leading(cert.upper)
+    top = _leading_row(cert.upper)
     stabilization, candidates = _breakpoints(rows, top, gn, gd)
     for i in candidates:
         current = _leading_at(rows, i)

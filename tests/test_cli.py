@@ -291,6 +291,33 @@ class TestMeasure:
         assert result.returncode == 2
         assert "undeclared" in result.stderr
 
+    def _check_rejected(self, narch_cli, tmp_path, payload):
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        result = narch_cli("measure", "check", "--input", str(path))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("narch: invalid input: ")
+        assert "Traceback" not in result.stderr
+        return result.stderr
+
+    def test_check_rejects_value_for_undeclared_element_with_2(self, narch_cli, tmp_path):
+        payload = {
+            "structure": {"elements": ["x0", "y"], "relation": [["x0", "y"]]},
+            "assignment": {"values": {"x0": "0", "y": "1", "zzz": "5"}, "r": "1"},
+        }
+        stderr = self._check_rejected(narch_cli, tmp_path, payload)
+        assert "undeclared element 'zzz'" in stderr
+
+    @pytest.mark.parametrize("label", [["a"], {"a": 1}], ids=["list", "dict"])
+    def test_check_rejects_unhashable_label_with_2(self, narch_cli, tmp_path, label):
+        payload = {
+            "structure": {"elements": ["a"], "relation": [[label, "a"]]},
+            "assignment": {"values": {"a": "0"}, "r": "1"},
+        }
+        stderr = self._check_rejected(narch_cli, tmp_path, payload)
+        assert "references undeclared elements" in stderr
+        assert "unhashable" not in stderr
+
     @pytest.mark.parametrize("lowered, accurate", [(False, True), (True, False)])
     def test_check_at_benchmark_scale(self, narch_cli, tmp_path, lowered, accurate):
         structure = chain_prefix_structure(299)

@@ -70,6 +70,21 @@ class TestStructure:
         with pytest.raises(ValueError):
             FiniteSigStructure(elements="ab", relation=frozenset())
 
+    @pytest.mark.parametrize("kind", [set, frozenset])
+    def test_rejects_a_set_of_elements(self, kind):
+        # a set's iteration order, and so structure_to_json, would follow the hash seed
+        with pytest.raises(ValueError, match="not a set"):
+            FiniteSigStructure(elements=kind({"a", "b", "c", "d"}), relation=frozenset())
+
+    @pytest.mark.parametrize("label", [["a"], {"a": 1}], ids=["list", "dict"])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_rejects_unhashable_labels(self, label, at):
+        entry = [label, "a"] if at == 0 else ["a", label]
+        with pytest.raises(ValueError, match="references undeclared elements"):
+            FiniteSigStructure(elements=("a",), relation=[entry])
+        with pytest.raises(ValueError, match="references undeclared elements"):
+            structure_from_json({"elements": ["a"], "relation": [entry]})
+
 
 class TestAssignment:
     def test_rejects_non_string_labels(self):
@@ -103,6 +118,13 @@ class TestAccuracy:
     def test_missing_value_raises(self):
         assignment = MeasurementAssignment(values={"a": 0}, threshold=SigThreshold(1))
         with pytest.raises(ValueError):
+            is_accurate_measurement(two_element_structure(), assignment)
+
+    def test_value_for_undeclared_element_raises(self):
+        # of the extra labels, the least is named, whatever the hash seed
+        values = {"a": 0, "zzz": 5, "b": 1, "c": 7}
+        assignment = MeasurementAssignment(values=values, threshold=SigThreshold(1))
+        with pytest.raises(ValueError, match="^value assigned to undeclared element 'c'$"):
             is_accurate_measurement(two_element_structure(), assignment)
 
     def test_assignment_json_round_trip(self):
@@ -439,6 +461,12 @@ class TestDiminishingReturns:
         with pytest.raises(ValueError, match="string or bytes"):
             diminishing_returns_index(seq, 3)
         assert diminishing_returns_index(["1", "3", "5", "7"], 3) == 0
+
+    @pytest.mark.parametrize("kind", [set, frozenset])
+    def test_rejects_a_set(self, kind):
+        # a set's iteration order follows the hash seed
+        with pytest.raises(ValueError, match="not a set"):
+            diminishing_returns_index(kind({"1", "5", "2", "9", "3"}), "2")
 
     @given(
         st.lists(
