@@ -57,9 +57,18 @@ def _read_text(path: str) -> str:
 def _load_json_file(path: str) -> object:
     import json
 
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        # json.loads alone would keep the last of two equal keys
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"invalid JSON in {path}: duplicate key {json.dumps(key)}")
+            obj[key] = value
+        return obj
+
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .laurent import RationalLike, _integer, as_rational
 from .sig_order import SigThreshold, ThresholdLike, _threshold
 
 
-@dataclass(frozen=True)
 class FiniteSigStructure:
     """Finite labelled elements with an explicit significantly-less relation.
 
@@ -37,31 +36,33 @@ class FiniteSigStructure:
     ValueError: its order depends on the hash seed). Each relation entry
     must be a tuple or list of two declared labels; anything else (a bare
     string such as ``"ab"``, a number, a list) raises ValueError instead of
-    being coerced. The validation pass also collects each element's row of
-    the relation, from which it stores the nested-row index that
-    :func:`is_accurate_measurement` reads.
+    being coerced. The one validation pass resolves each entry to a pair of
+    element indices, and a value stores only the labels, each element's row
+    of the relation as a sorted tuple of column indices, and the nested-row
+    index that :func:`is_accurate_measurement` reads: no pair objects.
+    ``relation`` gives the same relation as a frozenset of label pairs,
+    rebuilt from the rows on each read. The rows are canonical, so equality
+    and hashing read them directly. Values are immutable.
     """
 
-    elements: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
+    __slots__ = ("elements", "_rows", "_nested")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.elements, str):
+    def __init__(self, elements: Sequence[str], relation: Iterable[Sequence[str]]) -> None:
+        if isinstance(elements, str):
             raise ValueError("elements must be a sequence of labels, not one string")
-        if isinstance(self.elements, (set, frozenset)):
+        if isinstance(elements, (set, frozenset)):
             raise ValueError("elements must be an ordered sequence of labels, not a set")
-        elements = tuple(self.elements)
+        elements = tuple(elements)
         for label in elements:
             if not isinstance(label, str):
                 raise ValueError(f"element label {label!r} is not a string")
         index = {x: i for i, x in enumerate(elements)}
         if len(index) != len(elements):
             raise ValueError("element labels must be unique")
-        # one pass: every entry is shape-checked and resolved as it is stored;
+        # one pass: every entry is shape-checked and resolved to its indices;
         # lookup among the string labels also rules out non-string labels
-        pairs = []
         rows: list[set[int]] = [set() for _ in elements]
-        for entry in self.relation:
+        for entry in relation:
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise ValueError(f"relation entry {entry!r} is not a pair")
             x1, x2 = entry
@@ -71,11 +72,37 @@ class FiniteSigStructure:
                 raise ValueError(
                     f"relation pair {entry!r} references undeclared elements"
                 ) from None
-            pairs.append((x1, x2))
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "relation", frozenset(pairs))
-        # not a field, so equality, hash, repr and JSON see only the labels
         object.__setattr__(self, "_nested", _nested_row_index(rows))
+        object.__setattr__(self, "_rows", tuple([tuple(sorted(row)) for row in rows]))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor: the default
+        # slot restore would go through the blocking __setattr__
+        return FiniteSigStructure, (self.elements, self.relation)
+
+    @property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        """The (x1, x2) label pairs with x1 significantly less than x2."""
+        elements = self.elements
+        return frozenset([(x, elements[j]) for x, row in zip(elements, self._rows) for j in row])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FiniteSigStructure):
+            return self.elements == other.elements and self._rows == other._rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self._rows))
+
+    def __repr__(self) -> str:
+        return f"FiniteSigStructure(elements={self.elements!r}, relation={self.relation!r})"
 
 
 def _nested_row_index(rows: list[set[int]]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -209,10 +236,11 @@ def chain_prefix_structure(chain_len: int) -> FiniteSigStructure:
     """
     if _integer(chain_len, "chain length") < 1:
         raise ValueError("chain length must be positive")
-    labels = [f"x{i}" for i in range(chain_len)]
-    relation = {(labels[i], labels[j]) for i in range(chain_len) for j in range(i + 1, chain_len)}
-    relation |= {(label, "y") for label in labels}
-    return FiniteSigStructure(elements=tuple(labels) + ("y",), relation=frozenset(relation))
+    elements = tuple(f"x{i}" for i in range(chain_len)) + ("y",)
+    relation = (
+        (elements[i], elements[j]) for i in range(chain_len) for j in range(i + 1, chain_len + 1)
+    )
+    return FiniteSigStructure(elements=elements, relation=relation)
 
 
 def min_feasible_top(n: int, r: ThresholdLike) -> Fraction:

@@ -231,6 +231,37 @@ def _cli_with_stdout(stdout, *args):
     )
 
 
+class TestDuplicateJsonKeys:
+    """An object that repeats a key exits 2 naming it, instead of keeping the last value."""
+
+    def _assert_rejected(self, tmp_path, argv, text, key):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code, stdout, stderr = _run_in_process([*argv, str(path)])
+        assert (code, stdout) == (2, "")
+        assert stderr == f'narch: invalid input: invalid JSON in {path}: duplicate key "{key}"\n'
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_measure_check_values(self, tmp_path):
+        text = (
+            '{"structure": {"elements": ["a", "b"], "relation": [["a", "b"]]},'
+            ' "assignment": {"values": {"a": "0", "b": "5", "b": "0"}, "r": "1"}}'
+        )
+        self._assert_rejected(tmp_path, ["measure", "check", "--input"], text, "b")
+
+    def test_measure_check_structure(self, tmp_path):
+        text = (
+            '{"structure": {"elements": ["a", "b"], "relation": [["a", "b"]], "relation": []},'
+            ' "assignment": {"values": {"a": "0", "b": "5"}, "r": "1"}}'
+        )
+        self._assert_rejected(tmp_path, ["measure", "check", "--input"], text, "relation")
+
+    def test_bandit_config(self, tmp_path):
+        text = '{"scheme": "laurent", "mode": "scripted", "steps": 5, "steps": 3}'
+        argv = ["bandit", "--out", str(tmp_path / "trace.csv"), "--config"]
+        self._assert_rejected(tmp_path, argv, text, "steps")
+
+
 class TestStdoutFailure:
     def _assert_io_error(self, proc):
         stderr = proc.stderr.read()

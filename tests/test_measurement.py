@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -84,6 +86,137 @@ class TestStructure:
             FiniteSigStructure(elements=("a",), relation=[entry])
         with pytest.raises(ValueError, match="references undeclared elements"):
             structure_from_json({"elements": ["a"], "relation": [entry]})
+
+
+PAIRS = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "c")]
+
+
+def _routes():
+    """The structure over ``PAIRS`` built from every shape of relation the constructor takes."""
+    elements = ("a", "b", "c")
+    return [
+        FiniteSigStructure(elements=elements, relation=frozenset(PAIRS)),
+        FiniteSigStructure(elements=list(elements), relation=[list(p) for p in PAIRS]),
+        FiniteSigStructure(elements, [list(p) if k % 2 else p for k, p in enumerate(PAIRS)]),
+        FiniteSigStructure(elements, PAIRS[::-1] + [list(p) for p in PAIRS] + PAIRS),
+        FiniteSigStructure(elements, (p for p in PAIRS)),
+        structure_from_json({"elements": list(elements), "relation": [list(p) for p in PAIRS]}),
+    ]
+
+
+class TestStorage:
+    """Rows of element indices inside; label pairs only where ``relation`` is read."""
+
+    def test_equal_values_from_every_route(self):
+        routes = _routes()
+        for structure in routes:
+            assert structure._rows == ((1, 2), (2,), (2,))
+            assert structure.relation == frozenset(PAIRS)
+            assert structure == routes[0] and not structure != routes[0]
+            assert hash(structure) == hash(routes[0])
+        assert len(set(routes)) == 1
+
+    def test_unequal_values(self):
+        base = FiniteSigStructure(("a", "b"), [("a", "b")])
+        for other in (
+            FiniteSigStructure(("a", "b"), [("b", "a")]),
+            FiniteSigStructure(("a", "b"), []),
+            FiniteSigStructure(("b", "a"), [("a", "b")]),
+            FiniteSigStructure(("a", "b", "c"), [("a", "b")]),
+        ):
+            assert base != other
+        assert base != (("a", "b"), frozenset({("a", "b")}))
+
+    def test_relation_is_rebuilt_on_each_read(self):
+        structure = _routes()[0]
+        first = structure.relation
+        assert first == structure.relation and first is not structure.relation
+
+    def test_repr_examples(self):
+        assert repr(FiniteSigStructure(("a", "b"), [["a", "b"], ("a", "b")])) == (
+            "FiniteSigStructure(elements=('a', 'b'), relation=frozenset({('a', 'b')}))"
+        )
+        assert repr(FiniteSigStructure(["x"], ())) == (
+            "FiniteSigStructure(elements=('x',), relation=frozenset())"
+        )
+
+    def test_copies_and_pickles_are_equal(self):
+        for structure in (*_routes(), chain_prefix_structure(5), FiniteSigStructure((), [])):
+            for twin in (
+                copy.copy(structure),
+                copy.deepcopy(structure),
+                pickle.loads(pickle.dumps(structure)),
+            ):
+                assert twin == structure and hash(twin) == hash(structure)
+                assert twin._nested == structure._nested
+
+    @pytest.mark.parametrize("name", ["elements", "relation", "_rows", "_nested", "other"])
+    def test_values_are_immutable(self, name):
+        structure = chain_prefix_structure(2)
+        with pytest.raises(AttributeError):
+            setattr(structure, name, ())
+        with pytest.raises(AttributeError):
+            delattr(structure, name)
+        assert structure == chain_prefix_structure(2)
+
+    @pytest.mark.parametrize(
+        "elements, relation, message",
+        [
+            ("ab", [], "elements must be a sequence of labels, not one string"),
+            ({"a"}, [], "elements must be an ordered sequence of labels, not a set"),
+            (("a", 2), [], "element label 2 is not a string"),
+            (("a", "b", "a"), [("x",)], "element labels must be unique"),
+            (("a", "b"), [("a", "b"), "ab"], "relation entry 'ab' is not a pair"),
+            (("a", "b"), [["a"]], "relation entry ['a'] is not a pair"),
+            (("a", "b"), [("a", "b", "a")], "relation entry ('a', 'b', 'a') is not a pair"),
+            (("a", "b"), [("a", "c"), "ab"],
+             "relation pair ('a', 'c') references undeclared elements"),
+            (("a",), [[["a"], "a"]], "relation pair [['a'], 'a'] references undeclared elements"),
+            (("1", "2"), [[1, 2]], "relation pair [1, 2] references undeclared elements"),
+        ],
+    )
+    def test_constructor_messages_are_unchanged(self, elements, relation, message):
+        with pytest.raises(ValueError) as info:
+            FiniteSigStructure(elements, relation)
+        assert str(info.value) == message
+
+    def test_decisions_read_no_relation(self, monkeypatch):
+        # the seeded structures of TestRanksAgainstPairwise, as sets of tuples and as JSON lists
+        rnd = Random(20200224)
+        cases = []
+        for k in range(1000):
+            n = rnd.randint(1, 7)
+            labels = [f"v{i}" for i in rnd.sample(range(20), n)]
+            r = Fraction(rnd.randint(1, 4), 2)
+            values = {x: Fraction(rnd.randint(0, 10), 2) for x in labels}
+            all_pairs = [(x1, x2) for x1 in labels for x2 in labels]
+            relation = _separated(values, r)
+            if k % 2:
+                relation ^= {rnd.choice(all_pairs)}
+            elif rnd.random() < 0.2:
+                relation = {pair for pair in all_pairs if rnd.random() < 0.3}
+            assignment = MeasurementAssignment(values=values, threshold=SigThreshold(r))
+            cases.append((labels, relation, assignment))
+        expected = [
+            pairwise_is_accurate_measurement(FiniteSigStructure(labels, relation), assignment)
+            for labels, relation, assignment in cases
+        ]
+        assert 200 < sum(expected) < 800
+
+        def refuse(self):
+            raise AssertionError("a check read the relation's pairs")
+
+        monkeypatch.setattr(FiniteSigStructure, "relation", property(refuse))
+        for (labels, relation, assignment), accurate in zip(cases, expected):
+            for structure in (
+                FiniteSigStructure(labels, frozenset(relation)),
+                structure_from_json({"elements": labels, "relation": [list(p) for p in relation]}),
+            ):
+                assert is_accurate_measurement(structure, assignment) is accurate
+        structure = chain_prefix_structure(40)
+        values = {x: i for i, x in enumerate(structure.elements)}
+        assignment = MeasurementAssignment(values=values, threshold=SigThreshold(1))
+        assert is_accurate_measurement(structure, assignment) is True
 
 
 class TestAssignment:
@@ -383,6 +516,20 @@ class TestBoundedCost:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20, peak
+
+    def test_chain_from_json_lists_in_bounded_memory(self):
+        # a 300-element chain and its top, 45,150 pairs: index rows are kept, not pairs
+        obj = structure_to_json(chain_prefix_structure(300))
+        assert len(obj["elements"]) == 301 and len(obj["relation"]) == 45_150
+        tracemalloc.start()
+        try:
+            structure = structure_from_json(obj)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert structure._nested is not None
+        assert retained < 1.5 * 2**20, retained
+        assert peak < 4 * 2**20, peak
 
 
 class TestMinFeasibleTop:
