@@ -19,7 +19,6 @@ trace CSV of a run, header row included, straight from these closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -30,7 +29,9 @@ from .laurent import (
     Ordering,
     RationalLike,
     ZERO,
+    _Frozen,
     _integer,
+    _slot_setters,
     as_rational,
     compare_scaled,
     format_series,
@@ -60,28 +61,29 @@ KIND_DYNAMIC = "dynamic"
 _KINDS = (KIND_LAURENT, KIND_STATIC, KIND_DYNAMIC)
 
 
-@dataclass(frozen=True)
-class RewardScheme:
+class RewardScheme(_Frozen):
     """Which codomain the environment pays in.
 
     ``laurent`` pays exact Laurent values; ``static`` and ``dynamic`` pay
     rationals with approximation constant ``approx`` (M > 0).
     """
 
+    __slots__ = ("kind", "approx")
     kind: str
-    approx: Optional[Fraction] = None
+    approx: Optional[Fraction]
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == KIND_LAURENT:
-            if self.approx is not None:
+    def __init__(self, kind: str, approx: Optional[RationalLike] = None) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown scheme kind {kind!r}")
+        if kind == KIND_LAURENT:
+            if approx is not None:
                 raise ValueError("the exact scheme takes no approximation constant")
         else:
-            approx = as_rational(self.approx)
+            approx = as_rational(approx)
             if approx <= 0:
                 raise ValueError("approximation constant must be positive")
-            object.__setattr__(self, "approx", approx)
+        _set_kind(self, kind)
+        _set_approx(self, approx)
 
     @classmethod
     def exact_laurent(cls) -> "RewardScheme":
@@ -126,16 +128,26 @@ class RewardScheme:
         return self.approx * (1 << j)
 
 
-@dataclass(frozen=True)
-class EnvState:
+_set_kind, _set_approx = _slot_setters(RewardScheme)
+
+
+class EnvState(_Frozen):
     """Press counters; ``blue_presses`` never exceeds ``step_count``."""
 
-    blue_presses: int = 0
-    step_count: int = 0
+    __slots__ = ("blue_presses", "step_count")
+    blue_presses: int
+    step_count: int
 
-    def __post_init__(self) -> None:
-        if self.blue_presses < 0 or self.blue_presses > self.step_count:
+    def __init__(self, blue_presses: int = 0, step_count: int = 0) -> None:
+        _integer(blue_presses, "blue press count")
+        _integer(step_count, "step count")
+        if blue_presses < 0 or blue_presses > step_count:
             raise ValueError("blue press count must lie in [0, step_count]")
+        _set_blue_presses(self, blue_presses)
+        _set_step_count(self, step_count)
+
+
+_set_blue_presses, _set_step_count = _slot_setters(EnvState)
 
 
 def env_step(
@@ -282,27 +294,43 @@ MODE_EGREEDY = "egreedy"
 _MODES = (MODE_SCRIPTED, MODE_EGREEDY)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Frozen):
     """Everything a run needs; equal configs (seed included) replay identically."""
 
+    __slots__ = ("scheme", "mode", "steps", "epsilon", "seed")
     scheme: RewardScheme
     mode: str
     steps: int
-    epsilon: Fraction = Fraction(0)
-    seed: int = 0
+    epsilon: Fraction
+    seed: int
 
-    def __post_init__(self) -> None:
-        epsilon = as_rational(self.epsilon)  # a non-rational is reported before any other fault
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if _integer(self.steps, "steps") < 1:
+    def __init__(
+        self,
+        scheme: RewardScheme,
+        mode: str,
+        steps: int,
+        epsilon: RationalLike = _RATIONAL_ZERO,
+        seed: int = 0,
+    ) -> None:
+        epsilon = as_rational(epsilon)  # a non-rational is reported before any other fault
+        if not isinstance(scheme, RewardScheme):
+            raise TypeError(f"scheme must be a RewardScheme, got {scheme!r}")
+        if mode not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if _integer(steps, "steps") < 1:
             raise ValueError("steps must be positive")
-        if not Fraction(0) <= epsilon <= Fraction(1):
+        if not _RATIONAL_ZERO <= epsilon <= _RATIONAL_UNIT:
             raise ValueError("epsilon must lie in [0, 1]")
-        object.__setattr__(self, "epsilon", epsilon)
-        if not 0 <= _integer(self.seed, "seed") < 2**64:
+        if not 0 <= _integer(seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        _set_scheme(self, scheme)
+        _set_mode(self, mode)
+        _set_steps(self, steps)
+        _set_epsilon(self, epsilon)
+        _set_seed(self, seed)
+
+
+_set_scheme, _set_mode, _set_steps, _set_epsilon, _set_seed = _slot_setters(RunConfig)
 
 
 class PullRow(NamedTuple):
@@ -314,8 +342,12 @@ class PullRow(NamedTuple):
     preferred: Arm
 
 
-@dataclass(frozen=True)
-class EpsilonGreedyResult:
+class EpsilonGreedyResult(_Frozen):
+    """A whole epsilon-greedy run: its config, pull counts, sums, final arm and trace."""
+
+    __slots__ = (
+        "config", "red_pulls", "blue_pulls", "red_sum", "blue_sum", "final_greedy", "trace"
+    )
     config: RunConfig
     red_pulls: int
     blue_pulls: int
@@ -323,6 +355,30 @@ class EpsilonGreedyResult:
     blue_sum: RewardValue
     final_greedy: Arm
     trace: tuple[PullRow, ...]
+
+    def __init__(
+        self,
+        config: RunConfig,
+        red_pulls: int,
+        blue_pulls: int,
+        red_sum: RewardValue,
+        blue_sum: RewardValue,
+        final_greedy: Arm,
+        trace: tuple[PullRow, ...],
+    ) -> None:
+        _set_config(self, config)
+        _set_red_pulls(self, red_pulls)
+        _set_blue_pulls(self, blue_pulls)
+        _set_red_sum(self, red_sum)
+        _set_blue_sum(self, blue_sum)
+        _set_final_greedy(self, final_greedy)
+        _set_trace(self, trace)
+
+
+(
+    _set_config, _set_red_pulls, _set_blue_pulls, _set_red_sum, _set_blue_sum, _set_final_greedy,
+    _set_trace,
+) = _slot_setters(EpsilonGreedyResult)
 
 
 def _pulls(config: RunConfig) -> Iterator[tuple[int, Arm, RewardValue, int, int, int, Arm]]:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, ContextManager, Iterable, Iterator, Optional, 
 # Only the kernel is imported here. Each other layer, and json, is imported
 # inside the handlers that use it, so a run loads (and, without bytecode
 # caches, compiles) only its own layers.
-from .laurent import SeriesParseError, as_rational, compare, format_series, parse
+from .laurent import _BLANK_CHARS, SeriesParseError, as_rational, compare, format_series, parse
 
 if TYPE_CHECKING:
     from .bandit import RunConfig
@@ -166,8 +166,9 @@ def _cmd_measure_plateau(args: argparse.Namespace) -> int:
 
     from .measurement import diminishing_returns_index
 
-    # split on LF only: str.splitlines would also split inside a line at \f, \v or \x1c
-    lines = [line.strip() for line in _read_text(args.seq).split("\n")]
+    # split on LF only: str.splitlines would also split inside a line at \f, \v or \x1c;
+    # strip the grammar's ASCII blanks only: str.strip would also drop NBSP or U+3000
+    lines = [line.strip(_BLANK_CHARS) for line in _read_text(args.seq).split("\n")]
     seq = [as_rational(line) for line in lines if line]
     index = diminishing_returns_index(seq, as_rational(args.tol))
     print(json.dumps({"index": index}))

@@ -32,7 +32,8 @@ from typing import Iterable, Tuple, Union
 RationalLike = Union[Fraction, int, str]
 TermPair = Tuple[int, Fraction]
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # rational := ["-"] digits ["/" digits]
-_BLANKS = "[ \t\n\r\v\f]*"  # ASCII whitespace only
+_BLANK_CHARS = " \t\n\r\v\f"  # ASCII whitespace only
+_BLANKS = f"[{_BLANK_CHARS}]*"
 # One series term with the blanks around it. The digit runs may be empty,
 # so that parse reports a missing run at its own offset.
 _TERM = re.compile(
@@ -123,8 +124,59 @@ def as_rational(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(*_rational_parts(value))
 
 
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` validates the arguments and stores them through the
+    slots' own setters (:func:`_slot_setters`), past the blocking
+    ``__setattr__``. The field names, a parent's first, are the class's
+    ``__match_args__``, as a dataclass's would be. Over the tuple of field
+    values the base gives value semantics: ``==`` only between objects of
+    the same class, the tuple's hash, the ``Name(field=value, ...)`` repr,
+    and copy and pickle that rebuild through the validating constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        inherited = getattr(cls, "__match_args__", ())
+        cls.__match_args__ = (*inherited, *cls.__dict__.get("__slots__", ()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # the default slot restore would go through the blocking __setattr__
+        return type(self), self._fields()
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The setter of each of ``cls``'s own slots, in ``__slots__`` order."""
+    return tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+
+
 @total_ordering
-class LaurentSeries:
+class LaurentSeries(_Frozen):
     """A finite-support formal Laurent series with rational coefficients.
 
     A value is one tuple of integer rows ``(exponent, numerator,
@@ -159,15 +211,8 @@ class LaurentSeries:
             rows.append((exponent, coeff.numerator, coeff.denominator))
         _set_rows(self, tuple(rows))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        # copy and pickle rebuild through the validating constructor: the default
-        # slot restore would go through the blocking __setattr__
+        # rebuilt from the pairs the validating constructor takes
         return LaurentSeries, (self.terms,)
 
     @property
@@ -232,7 +277,7 @@ class LaurentSeries:
         return f"LaurentSeries({format_series(self)!r})"
 
 
-_set_rows = LaurentSeries._rows.__set__  # the slot's own setter, past the blocking __setattr__
+(_set_rows,) = _slot_setters(LaurentSeries)
 
 
 def _raw(rows: tuple[tuple[int, int, int], ...]) -> LaurentSeries:

@@ -21,15 +21,14 @@ compared exactly, and no common denominator is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .laurent import RationalLike, _integer, as_rational
+from .laurent import RationalLike, _Frozen, _integer, _slot_setters, as_rational
 from .sig_order import SigThreshold, ThresholdLike, _threshold
 
 
-class FiniteSigStructure:
+class FiniteSigStructure(_Frozen):
     """Finite labelled elements with an explicit significantly-less relation.
 
     Labels are strings, given in an ordered sequence (a set raises
@@ -72,19 +71,12 @@ class FiniteSigStructure:
                 raise ValueError(
                     f"relation pair {entry!r} references undeclared elements"
                 ) from None
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_nested", _nested_row_index(rows))
-        object.__setattr__(self, "_rows", tuple([tuple(sorted(row)) for row in rows]))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        _set_elements(self, elements)
+        _set_rows(self, tuple([tuple(sorted(row)) for row in rows]))
+        _set_nested(self, _nested_row_index(rows))
 
     def __reduce__(self):
-        # copy and pickle rebuild through the validating constructor: the default
-        # slot restore would go through the blocking __setattr__
+        # rebuilt from the labels and pairs the validating constructor takes
         return FiniteSigStructure, (self.elements, self.relation)
 
     @property
@@ -103,6 +95,9 @@ class FiniteSigStructure:
 
     def __repr__(self) -> str:
         return f"FiniteSigStructure(elements={self.elements!r}, relation={self.relation!r})"
+
+
+_set_elements, _set_rows, _set_nested = _slot_setters(FiniteSigStructure)
 
 
 def _nested_row_index(rows: list[set[int]]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -124,26 +119,29 @@ def _nested_row_index(rows: list[set[int]]) -> Optional[tuple[tuple[int, ...], t
     return tuple(n - len(row) for row in rows), tuple(lowest)
 
 
-@dataclass(frozen=True)
-class MeasurementAssignment:
+class MeasurementAssignment(_Frozen):
     """Candidate measurement: one exact rational per element, plus the threshold.
 
     Labels must be strings: ``{1: 0, "1": 5}`` raises ValueError rather
-    than collapsing to one entry.
+    than collapsing to one entry. The values are held in a dict, so an
+    assignment is not hashable.
     """
 
+    __slots__ = ("values", "threshold")
     values: Mapping[str, Fraction]
     threshold: SigThreshold
 
-    def __post_init__(self) -> None:
-        for label in self.values:
+    def __init__(self, values: Mapping[str, RationalLike], threshold: ThresholdLike) -> None:
+        for label in values:
             if not isinstance(label, str):
                 raise ValueError(f"value label {label!r} is not a string")
-        object.__setattr__(
-            self, "values", {k: as_rational(v) for k, v in self.values.items()}
+        _set_values(self, {k: as_rational(v) for k, v in values.items()})
+        _set_threshold(
+            self, threshold if isinstance(threshold, SigThreshold) else SigThreshold(threshold)
         )
-        if not isinstance(self.threshold, SigThreshold):
-            object.__setattr__(self, "threshold", SigThreshold(self.threshold))
+
+
+_set_values, _set_threshold = _slot_setters(MeasurementAssignment)
 
 
 def is_accurate_measurement(

@@ -20,7 +20,6 @@ the leading term of any ``x_i`` is read from integers without building it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -28,8 +27,10 @@ from .laurent import (
     _ZERO_ROW,
     LaurentSeries,
     RationalLike,
+    _Frozen,
     _integer,
     _leading_row,
+    _slot_setters,
     add,
     as_rational,
     monomial,
@@ -39,15 +40,18 @@ from .laurent import (
 )
 
 
-@dataclass(frozen=True)
-class SigThreshold:
+class SigThreshold(_Frozen):
     """A fixed positive gap; two values closer than this are not significantly apart."""
 
+    __slots__ = ("r",)
     r: Fraction
 
-    def __post_init__(self) -> None:
+    def __init__(self, r: RationalLike) -> None:
         # as_rational first: a SigThreshold is not a rational and raises TypeError
-        object.__setattr__(self, "r", _threshold(as_rational(self.r)))
+        _set_r(self, _threshold(as_rational(r)))
+
+
+(_set_r,) = _slot_setters(SigThreshold)
 
 
 ThresholdLike = Union[SigThreshold, Fraction, int, str]
@@ -135,21 +139,33 @@ def verify_nonarch_prefix(
     return not any(_sig_less(top, _leading_row(x), gn, gd) for x in chain)
 
 
-@dataclass(frozen=True)
-class AffineChain:
+def _series(value: object, what: str) -> LaurentSeries:
+    if not isinstance(value, LaurentSeries):
+        raise TypeError(f"{what} must be a LaurentSeries, got {value!r}")
+    return value
+
+
+class AffineChain(_Frozen):
     """The infinite sequence ``x_i = base + i * step`` for i = 0, 1, 2, ..."""
 
+    __slots__ = ("base", "step")
     base: LaurentSeries
     step: LaurentSeries
 
+    def __init__(self, base: LaurentSeries, step: LaurentSeries) -> None:
+        _set_base(self, _series(base, "chain base"))
+        _set_step(self, _series(step, "chain step"))
+
     def element(self, i: int) -> LaurentSeries:
-        if i < 0:
+        if _integer(i, "chain index") < 0:
             raise ValueError("chain index must be non-negative")
         return add(self.base, scalar_mul(i, self.step))
 
 
-@dataclass(frozen=True)
-class SigPrimeCertificate:
+_set_base, _set_step = _slot_setters(AffineChain)
+
+
+class SigPrimeCertificate(_Frozen):
     """Certificate that ``lower <<' upper`` via the affine chain.
 
     Valid when the chain starts at ``lower``, every element is
@@ -158,13 +174,23 @@ class SigPrimeCertificate:
     :func:`decide_affine_sig_prime`.
     """
 
+    __slots__ = ("lower", "upper", "chain")
     lower: LaurentSeries
     upper: LaurentSeries
     chain: AffineChain
 
+    def __init__(self, lower: LaurentSeries, upper: LaurentSeries, chain: AffineChain) -> None:
+        _set_lower(self, _series(lower, "certificate lower"))
+        _set_upper(self, _series(upper, "certificate upper"))
+        if not isinstance(chain, AffineChain):
+            raise TypeError(f"certificate chain must be an AffineChain, got {chain!r}")
+        _set_chain(self, chain)
 
-@dataclass(frozen=True)
-class SigPrimeDecision:
+
+_set_lower, _set_upper, _set_chain = _slot_setters(SigPrimeCertificate)
+
+
+class SigPrimeDecision(_Frozen):
     """Outcome of :func:`decide_affine_sig_prime`.
 
     ``violation_index`` is the smallest failing i when rejected, and
@@ -176,13 +202,31 @@ class SigPrimeDecision:
     decides all infinitely many i.
     """
 
+    __slots__ = ("accepted", "violation_index", "stabilization_index", "failed_condition")
     accepted: bool
     violation_index: Optional[int]
     stabilization_index: int
-    failed_condition: Optional[str] = None
+    failed_condition: Optional[str]
+
+    def __init__(
+        self,
+        accepted: bool,
+        violation_index: Optional[int],
+        stabilization_index: int,
+        failed_condition: Optional[str] = None,
+    ) -> None:
+        _set_accepted(self, accepted)
+        _set_violation_index(self, violation_index)
+        _set_stabilization_index(self, stabilization_index)
+        _set_failed_condition(self, failed_condition)
 
     def __bool__(self) -> bool:
         return self.accepted
+
+
+(
+    _set_accepted, _set_violation_index, _set_stabilization_index, _set_failed_condition
+) = _slot_setters(SigPrimeDecision)
 
 
 def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:

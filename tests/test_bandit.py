@@ -82,6 +82,14 @@ class TestEnvStep:
         with pytest.raises(ValueError):
             EnvState(blue_presses=2, step_count=1)
 
+    @pytest.mark.parametrize("counts, what", [
+        ((1.5, 2), "blue press count"), ((True, 2), "blue press count"),
+        (("1", 2), "blue press count"), ((1, 2.0), "step count"), ((-1, False), "step count"),
+    ], ids=repr)
+    def test_counters_must_be_integers(self, counts, what):
+        with pytest.raises(TypeError, match=f"^{what} must be an integer, got "):
+            EnvState(*counts)
+
 
 class TestPowersOfTwo:
     def test_schedule_invariant(self):
@@ -332,6 +340,11 @@ class TestEpsilonGreedy:
                 assert pull.arm is expected, pull.step
             previous = pull
         assert (explored == 298) if epsilon == 1 else (0 < explored < 298)
+
+    @pytest.mark.parametrize("scheme", ["laurent", None, RewardScheme], ids=repr)
+    def test_scheme_must_be_a_reward_scheme(self, scheme):
+        with pytest.raises(TypeError, match="^scheme must be a RewardScheme, got "):
+            RunConfig(scheme=scheme, mode="scripted", steps=3)
 
     @pytest.mark.parametrize("steps", [True, False, 2.5, 3.0, "3", Fraction(3)], ids=repr)
     @pytest.mark.parametrize("mode", ["egreedy", "scripted"])

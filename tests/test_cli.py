@@ -220,6 +220,27 @@ class TestUndecodableFile:
         assert (code, stdout) == (2, "")
         assert stderr == "narch: invalid input: not a rational: '1\\x0c2'\n"
 
+    @pytest.mark.parametrize("blank, shown", [
+        ("\xa0", "'\\xa02'"), ("\u3000", "'\\u30002'"),
+    ], ids=["nbsp", "ideographic-space"])
+    def test_plateau_strips_only_ascii_blanks(self, tmp_path, blank, shown):
+        # the series grammar's blanks, as for --lhs of compare; str.strip would drop these too
+        path = tmp_path / "seq.txt"
+        path.write_text(f"1\n{blank}2\n", encoding="utf-8")
+        code, stdout, stderr = _run_in_process(
+            ["measure", "plateau", "--seq", str(path), "--tol", "1/2"]
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"narch: invalid input: not a rational: {shown}\n"
+
+    def test_plateau_strips_ascii_blanks(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text(" 0\t\r\n\x0b1\x0c\n\n \n2\n", encoding="utf-8")
+        code, stdout, stderr = _run_in_process(
+            ["measure", "plateau", "--seq", str(path), "--tol", "1/2"]
+        )
+        assert (code, stdout, stderr) == (0, '{"index": null}\n', "")
+
 
 def _cli_with_stdout(stdout, *args):
     """A CLI subprocess writing its stdout to ``stdout``, with stderr piped."""

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -33,6 +32,9 @@ SCHEMES = [
 ]
 EPSILONS = [Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1, 3), Fraction(1)]
 SEEDS = [0, 7, 20260809, 2**64 - 1]
+RESULT_FIELDS = (
+    "config", "red_pulls", "blue_pulls", "red_sum", "blue_sum", "final_greedy", "trace"
+)
 
 
 def _config(scheme, epsilon, seed, steps) -> RunConfig:
@@ -41,15 +43,20 @@ def _config(scheme, epsilon, seed, steps) -> RunConfig:
 
 def _assert_same_run(got: EpsilonGreedyResult, want: EpsilonGreedyResult) -> None:
     assert got == want
-    for field in dataclasses.fields(EpsilonGreedyResult):
-        if field.name != "trace":
-            got_value, want_value = getattr(got, field.name), getattr(want, field.name)
-            assert value_types(got_value) == value_types(want_value), field.name
+    for name in RESULT_FIELDS:
+        if name != "trace":
+            got_value, want_value = getattr(got, name), getattr(want, name)
+            assert value_types(got_value) == value_types(want_value), name
     assert type(got.trace) is type(want.trace)
     for got_row, want_row in zip(got.trace, want.trace):
         assert type(got_row) is type(want_row)
         for got_value, want_value in zip(got_row, want_row):
             assert value_types(got_value) == value_types(want_value), got_row.step
+
+
+def test_every_result_field_is_checked():
+    # the value classes keep their fields, in constructor order, as __slots__
+    assert EpsilonGreedyResult.__slots__ == RESULT_FIELDS
 
 
 @pytest.mark.parametrize("epsilon", EPSILONS, ids=[str(e) for e in EPSILONS])

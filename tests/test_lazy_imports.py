@@ -45,25 +45,29 @@ EXPORTS = {
 ALL_EXPORTS = [name for names in EXPORTS.values() for name in names]
 
 
-def _fresh(code: str, *args: str) -> object:
+def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> object:
     """The JSON that ``code`` prints, run in a new interpreter with narch importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
 
 
 _NARCH_MODULES = "sorted(m for m in sys.modules if m == 'narch' or m.startswith('narch.'))"
+_HEAVY_MODULES = "sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)"
 
-_RUN_MAIN = f"""
+
+def _run_main(report: str) -> str:
+    """Code that runs the CLI on its arguments, then prints its exit code and ``report``."""
+    return f"""
 import contextlib, io, json, sys
 import narch.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = narch.cli.main(sys.argv[1:])
-print(json.dumps([code, {_NARCH_MODULES}]))
+print(json.dumps([code, {report}]))
 """
 
 BASE = ["narch", "narch.cli", "narch.laurent"]
@@ -86,7 +90,7 @@ def measure_files(tmp_path):
     return {"check": str(check), "seq": str(seq), "out": str(tmp_path / "out.csv")}
 
 
-@pytest.mark.parametrize("argv, extra", [
+SUBCOMMANDS = pytest.mark.parametrize("argv, extra", [
     (["compare", "--lhs", "1 eps^1", "--rhs", "0"], []),
     (["bandit", "--scheme", "laurent", "--mode", "scripted", "--steps", "10", "--out", "{out}"],
      ["narch.bandit", "narch.rng"]),
@@ -100,9 +104,28 @@ def measure_files(tmp_path):
      ["narch.measurement", "narch.sig_order"]),
 ], ids=["compare", "bandit-scripted", "bandit-egreedy", "witness", "measure-check",
         "measure-feasible-top", "measure-plateau"])
+
+
+@SUBCOMMANDS
 def test_each_subcommand_loads_only_its_layers(measure_files, argv, extra):
     argv = [arg.format(**measure_files) for arg in argv]
-    assert _fresh(_RUN_MAIN, *argv) == [0, sorted(BASE + extra)]
+    assert _fresh(_run_main(_NARCH_MODULES), *argv) == [0, sorted(BASE + extra)]
+
+
+@SUBCOMMANDS
+def test_no_subcommand_imports_dataclasses_or_inspect(measure_files, argv, extra):
+    # the value classes are plain slotted classes; -S keeps site's imports out
+    argv = [arg.format(**measure_files) for arg in argv]
+    assert _fresh(_run_main(_HEAVY_MODULES), *argv, flags=("-S",)) == [0, []]
+
+
+def test_layers_do_not_import_dataclasses_or_inspect():
+    code = f"""
+import json, sys
+import narch.bandit, narch.measurement, narch.sig_order
+print(json.dumps({_HEAVY_MODULES}))
+"""
+    assert _fresh(code, flags=("-S",)) == []
 
 
 def test_the_exports_are_unchanged():
@@ -173,20 +196,3 @@ print(code, "json" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "False"]
-
-
-def test_compare_does_not_import_dataclasses_or_inspect():
-    # the kernel's series class is a plain slotted class; -S keeps site's imports out
-    code = """
-import contextlib, io, sys
-import narch.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = narch.cli.main(["compare", "--lhs", "1/2 eps^1", "--rhs", "0"])
-print(code, "dataclasses" in sys.modules, "inspect" in sys.modules)
-"""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "False", "False"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narch.laurent import LaurentSeries, Ordering, ZERO, add, compare, monomial, parse
+from narch.laurent import ONE, LaurentSeries, Ordering, ZERO, add, compare, monomial, parse
 from narch.sig_order import (
     AffineChain,
     SigPrimeCertificate,
@@ -378,6 +378,37 @@ class TestCertificateJson:
     def test_rejects_missing_chain(self):
         with pytest.raises(ValueError):
             certificate_from_json({"lower": {"terms": []}, "upper": {"terms": []}})
+
+
+class TestFieldTypes:
+    """Certificates and chains hold series; anything else fails when built, not when decided."""
+
+    @pytest.mark.parametrize("base, step, what", [
+        ("1 eps^1", ONE, "chain base"), (ONE, "1 eps^1", "chain step"), (ONE, 1, "chain step"),
+    ], ids=repr)
+    def test_chain_fields_are_series(self, base, step, what):
+        with pytest.raises(TypeError, match=f"^{what} must be a LaurentSeries, got "):
+            AffineChain(base, step)
+
+    @pytest.mark.parametrize("lower, upper, chain, what", [
+        ("0", ONE, AffineChain(ZERO, ONE), "certificate lower"),
+        (ZERO, "1", AffineChain(ZERO, ONE), "certificate upper"),
+        (ZERO, ONE, (ZERO, ONE), "certificate chain"),
+    ], ids=["lower", "upper", "chain"])
+    def test_certificate_fields_are_typed(self, lower, upper, chain, what):
+        with pytest.raises(TypeError, match=f"^{what} must be an? (LaurentSeries|AffineChain), "):
+            SigPrimeCertificate(lower, upper, chain)
+
+    @pytest.mark.parametrize("index", [Fraction(1, 2), "3", 1.0, True], ids=repr)
+    def test_chain_index_is_an_integer(self, index):
+        # a half index would give base + step/2, which is not an element of the chain
+        chain = AffineChain(ZERO, ONE)
+        with pytest.raises(TypeError, match="^chain index must be an integer, got "):
+            chain.element(index)
+
+    def test_negative_chain_index_rejected(self):
+        with pytest.raises(ValueError, match="^chain index must be non-negative$"):
+            AffineChain(ZERO, ONE).element(-1)
 
 
 def _sampled_certificates(rnd: Random, count: int):
