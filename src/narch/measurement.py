@@ -1,7 +1,8 @@
 """Accuracy checks for real-valued measurements of significantly-ordered data.
 
-A measurement assigns one exact rational per element; it is accurate for a
-structure exactly when the relation holds iff the assigned values are at
+A measurement assigns one exact rational per element, stored as a reduced
+integer pair ``(numerator, denominator)``; it is accurate for a structure
+exactly when the relation holds iff the assigned values are at
 least the threshold apart. For the trapped-chain family the minimum
 feasible span of any accurate measurement grows linearly with the chain
 length (:func:`min_feasible_top`), so no single assignment can serve every
@@ -16,15 +17,18 @@ once per structure into two integer lists (see
 :func:`is_accurate_measurement`). Second, ``floor(2^64 * v)`` never
 decreases as v grows, so a value and a value or bound in another 2^-64
 cell are ordered by their cells alone; only those sharing a cell are
-compared exactly, and no common denominator is ever formed.
+compared exactly, and no common denominator is ever formed. The check
+reads the integer pairs and builds a ``Fraction`` only when two values
+share a cell; ``MeasurementAssignment.values`` builds them when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .laurent import RationalLike, _Frozen, _integer, _slot_setters, as_rational
+from .laurent import RationalLike, _Frozen, _integer, _rational_parts, _slot_setters, as_rational
 from .sig_order import SigThreshold, ThresholdLike, _threshold
 
 
@@ -123,25 +127,46 @@ class MeasurementAssignment(_Frozen):
     """Candidate measurement: one exact rational per element, plus the threshold.
 
     Labels must be strings: ``{1: 0, "1": 5}`` raises ValueError rather
-    than collapsing to one entry. The values are held in a dict, so an
-    assignment is not hashable.
+    than collapsing to one entry. A value stores one reduced integer pair
+    ``(numerator, denominator > 0)`` per label, held in a dict, so an
+    assignment is not hashable. The pairs are canonical, so equality reads
+    them directly. ``values`` gives the same values as a new dict of
+    Fractions, built on each read: writing to it changes nothing here.
     """
 
-    __slots__ = ("values", "threshold")
-    values: Mapping[str, Fraction]
+    __slots__ = ("_pairs", "threshold")
     threshold: SigThreshold
 
     def __init__(self, values: Mapping[str, RationalLike], threshold: ThresholdLike) -> None:
         for label in values:
             if not isinstance(label, str):
                 raise ValueError(f"value label {label!r} is not a string")
-        _set_values(self, {k: as_rational(v) for k, v in values.items()})
+        _set_pairs(self, {k: _reduced_pair(v) for k, v in values.items()})
         _set_threshold(
             self, threshold if isinstance(threshold, SigThreshold) else SigThreshold(threshold)
         )
 
+    @property
+    def values(self) -> dict[str, Fraction]:
+        """The label to Fraction map, rebuilt from the pairs on each read."""
+        return {k: Fraction(p, q) for k, (p, q) in self._pairs.items()}
 
-_set_values, _set_threshold = _slot_setters(MeasurementAssignment)
+    def __reduce__(self):
+        # rebuilt from the values the validating constructor takes
+        return type(self), (self.values, self.threshold)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(values={self.values!r}, threshold={self.threshold!r})"
+
+
+_set_pairs, _set_threshold = _slot_setters(MeasurementAssignment)
+
+
+def _reduced_pair(value: RationalLike) -> tuple[int, int]:
+    # (numerator, denominator > 0) in lowest terms by one gcd; rejects what as_rational does
+    p, q = _rational_parts(value)
+    divisor = gcd(p, q)
+    return p // divisor, q // divisor
 
 
 def is_accurate_measurement(
@@ -179,8 +204,10 @@ def is_accurate_measurement(
     conditions would give ``pos[i] >= n - m_i >= n - |R_i| = first[i]``,
     but r > 0 puts ``first[i]`` after ``pos[i]``.
 
-    Values are ranked by ``(floor(2^64 * v), v)``, which orders exactly as
-    v does: the cells decide unless two values share one. The sweep
+    Values are ranked by their integer cells ``floor(2^64 * v)`` alone,
+    computed from the reduced pairs ``v = p/q``: distinct cells order
+    exactly as the values do. Only when two values share a cell are they
+    ranked by ``(cell, v)`` keys, with v built as a ``Fraction``. The sweep
     compares each value's cell with the bound's cell
     ``((p*b + a*q) << 64) // (q*b)`` for ``v = p/q`` and ``r = a/b``, and
     cross-multiplies a value against ``(p*b + a*q) / (q*b)`` only when the
@@ -188,23 +215,26 @@ def is_accurate_measurement(
     O(|R|) once per structure and O(n log n) integer work per check, not
     n^2 Fraction tests.
     """
-    values = assignment.values
+    pairs = assignment._pairs
     try:
-        vals = [values[x] for x in structure.elements]
+        ratios = [pairs[x] for x in structure.elements]
     except KeyError as missing:
         raise ValueError(f"no value assigned to element {missing.args[0]!r}") from None
-    if len(values) != len(vals):
-        extra = sorted(values.keys() - set(structure.elements))[0]
+    if len(pairs) != len(ratios):
+        extra = sorted(pairs.keys() - set(structure.elements))[0]
         raise ValueError(f"value assigned to undeclared element {extra!r}")
     if structure._nested is None:
         return False
     wanted, lowest = structure._nested
     gap = assignment.threshold.r
     a, b = gap.numerator, gap.denominator
-    n = len(vals)
-    ratios = [(v.numerator, v.denominator) for v in vals]
+    n = len(ratios)
     cells = [(p << 64) // q for p, q in ratios]
-    order = sorted(range(n), key=list(zip(cells, vals)).__getitem__)
+    if len(set(cells)) == n:
+        order = sorted(range(n), key=cells.__getitem__)
+    else:
+        exact = [Fraction(p, q) for p, q in ratios]
+        order = sorted(range(n), key=list(zip(cells, exact)).__getitem__)
     ranked = [cells[i] for i in order]
     j = 0
     for k, i in enumerate(order):
@@ -313,7 +343,7 @@ def structure_to_json(structure: FiniteSigStructure) -> dict:
 def assignment_to_json(assignment: MeasurementAssignment) -> dict:
     return {
         "values": {
-            k: f"{v.numerator}/{v.denominator}" for k, v in sorted(assignment.values.items())
+            k: f"{p}/{q}" for k, (p, q) in sorted(assignment._pairs.items())
         },
         "r": f"{assignment.threshold.r.numerator}/{assignment.threshold.r.denominator}",
     }

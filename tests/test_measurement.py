@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from narch.laurent import as_rational
 from narch.measurement import (
     FiniteSigStructure,
     MeasurementAssignment,
@@ -224,6 +225,27 @@ class TestAssignment:
         with pytest.raises(ValueError):
             MeasurementAssignment(values={1: 0, "1": 5}, threshold=SigThreshold(1))
 
+    def test_writing_to_values_changes_nothing(self):
+        assignment = MeasurementAssignment(values={"a": 0, "b": 1}, threshold=SigThreshold(1))
+        text = repr(assignment)
+        values = assignment.values
+        values["b"] = 0
+        values["c"] = Fraction(5)
+        del values["a"]
+        assert assignment.values == {"a": Fraction(0), "b": Fraction(1)}
+        assert assignment.values is not assignment.values
+        assert repr(assignment) == text
+        assert assignment == MeasurementAssignment(values={"a": 0, "b": 1}, threshold=1)
+        assert is_accurate_measurement(two_element_structure(), assignment) is True
+        assert assignment_to_json(assignment) == {"values": {"a": "0/1", "b": "1/1"}, "r": "1/1"}
+
+    def test_values_are_stored_in_lowest_terms(self):
+        unreduced = MeasurementAssignment(values={"a": "-4/6", "b": "0/7"}, threshold="2/2")
+        assert unreduced == MeasurementAssignment(
+            values={"a": Fraction(-2, 3), "b": 0}, threshold=SigThreshold(1)
+        )
+        assert assignment_to_json(unreduced) == {"values": {"a": "-2/3", "b": "0/1"}, "r": "1/1"}
+
 
 class TestAccuracy:
     def test_boundary_is_accurate(self):
@@ -436,6 +458,48 @@ class TestCellsAndNestedRows:
         assert _check_both(labels, relation, values, r) is True
         for pair in [(x1, x2) for x1 in labels for x2 in labels]:
             assert _check_both(labels, relation ^ {pair}, values, r) is False
+
+    def test_no_fraction_is_built_unless_two_values_share_a_cell(self, monkeypatch):
+        # a chain with its top as the benchmark draws them: labels shuffled, values
+        # over assorted denominators, about half the gaps exactly r; distinct cells
+        rnd = Random(4177)
+        r = Fraction(2, 3)
+        structure = structure_to_json(chain_prefix_structure(120))
+        labels = [f"x{i}" for i in range(120)] + ["y"]
+        level, values = Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)), {}
+        for x in labels:
+            values[x] = level
+            level += r if rnd.random() < 0.5 else r + Fraction(1, rnd.randint(2, 50))
+        rnd.shuffle(structure["elements"])
+        perturbed = dict(values, x61=values["x60"] + r / 2)
+        assert len({_cell(v) for v in values.values()}) == len(labels)
+        built = []
+
+        def spy(name, real):
+            def counted(*args):
+                built.append(name)
+                return real(*args)
+
+            return counted
+
+        monkeypatch.setattr("narch.measurement.Fraction", spy("Fraction", Fraction))
+        monkeypatch.setattr("narch.measurement.as_rational", spy("as_rational", as_rational))
+        loaded = structure_from_json(structure)
+        for chosen, accurate in ((values, True), (perturbed, False)):
+            text = {x: f"{v.numerator}/{v.denominator}" for x, v in chosen.items()}
+            assignment = assignment_from_json({"values": text, "r": "2/3"})
+            assert is_accurate_measurement(loaded, assignment) is accurate
+        assert built == []
+        # the spy sees the Fractions that reading values builds, and those of
+        # the (cell, value) ranking of distinct values inside one cell
+        assert assignment.values == perturbed
+        assert built == ["Fraction"] * len(labels)
+        built.clear()
+        one_cell = {"a": TINY, "b": 0, "c": -TINY, "d": 1}
+        assignment = MeasurementAssignment(values=one_cell, threshold=SigThreshold(1))
+        cell_structure = FiniteSigStructure(tuple(one_cell), _separated(one_cell, 1))
+        assert is_accurate_measurement(cell_structure, assignment) is True
+        assert built == ["Fraction"] * len(one_cell)
 
     def test_rows_not_nested_with_as_many_pairs_as_separated(self):
         rnd = Random(271828)
