@@ -18,17 +18,24 @@ once per structure into two integer lists (see
 decreases as v grows, so a value and a value or bound in another 2^-64
 cell are ordered by their cells alone; only those sharing a cell are
 compared exactly, and no common denominator is ever formed. The check
-reads the integer pairs and builds a ``Fraction`` only when two values
-share a cell; ``MeasurementAssignment.values`` builds them when read.
+reads the integer pairs and builds a ``Fraction`` only when two distinct
+values share a cell; ``MeasurementAssignment.values`` builds them when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .laurent import RationalLike, _Frozen, _integer, _rational_parts, _slot_setters, as_rational
+from .laurent import (
+    RationalLike,
+    _Frozen,
+    _integer,
+    _rational_parts,
+    _reduced,
+    _slot_setters,
+    as_rational,
+)
 from .sig_order import SigThreshold, ThresholdLike, _threshold
 
 
@@ -141,7 +148,8 @@ class MeasurementAssignment(_Frozen):
         for label in values:
             if not isinstance(label, str):
                 raise ValueError(f"value label {label!r} is not a string")
-        _set_pairs(self, {k: _reduced_pair(v) for k, v in values.items()})
+        # a kernel row's (numerator, denominator): laurent keeps the lowest-terms rule
+        _set_pairs(self, {k: _reduced(0, *_rational_parts(v))[1:] for k, v in values.items()})
         _set_threshold(
             self, threshold if isinstance(threshold, SigThreshold) else SigThreshold(threshold)
         )
@@ -160,13 +168,6 @@ class MeasurementAssignment(_Frozen):
 
 
 _set_pairs, _set_threshold = _slot_setters(MeasurementAssignment)
-
-
-def _reduced_pair(value: RationalLike) -> tuple[int, int]:
-    # (numerator, denominator > 0) in lowest terms by one gcd; rejects what as_rational does
-    p, q = _rational_parts(value)
-    divisor = gcd(p, q)
-    return p // divisor, q // divisor
 
 
 def is_accurate_measurement(
@@ -206,8 +207,9 @@ def is_accurate_measurement(
 
     Values are ranked by their integer cells ``floor(2^64 * v)`` alone,
     computed from the reduced pairs ``v = p/q``: distinct cells order
-    exactly as the values do. Only when two values share a cell are they
-    ranked by ``(cell, v)`` keys, with v built as a ``Fraction``. The sweep
+    exactly as the values do, and equal values have equal pairs and cells.
+    Only when two distinct values share a cell are they ranked by
+    ``(cell, v)`` keys, with v built as a ``Fraction``. The sweep
     compares each value's cell with the bound's cell
     ``((p*b + a*q) << 64) // (q*b)`` for ``v = p/q`` and ``r = a/b``, and
     cross-multiplies a value against ``(p*b + a*q) / (q*b)`` only when the
@@ -230,7 +232,10 @@ def is_accurate_measurement(
     a, b = gap.numerator, gap.denominator
     n = len(ratios)
     cells = [(p << 64) // q for p, q in ratios]
-    if len(set(cells)) == n:
+    # the pairs are canonical, so equal values share a pair and a cell, and the
+    # stable sort keeps them in index order as (cell, value) keys would
+    distinct = len(set(cells))
+    if distinct == n or distinct == len(set(ratios)):
         order = sorted(range(n), key=cells.__getitem__)
     else:
         exact = [Fraction(p, q) for p, q in ratios]

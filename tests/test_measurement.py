@@ -239,6 +239,14 @@ class TestAssignment:
         assert is_accurate_measurement(two_element_structure(), assignment) is True
         assert assignment_to_json(assignment) == {"values": {"a": "0/1", "b": "1/1"}, "r": "1/1"}
 
+    def test_values_cannot_be_assigned_or_deleted(self):
+        assignment = MeasurementAssignment(values={"a": 0, "b": 1}, threshold=SigThreshold(1))
+        with pytest.raises(AttributeError):
+            setattr(assignment, "values", {"a": Fraction(5)})
+        with pytest.raises(AttributeError):
+            delattr(assignment, "values")
+        assert assignment.values == {"a": Fraction(0), "b": Fraction(1)}
+
     def test_values_are_stored_in_lowest_terms(self):
         unreduced = MeasurementAssignment(values={"a": "-4/6", "b": "0/7"}, threshold="2/2")
         assert unreduced == MeasurementAssignment(
@@ -500,6 +508,30 @@ class TestCellsAndNestedRows:
         cell_structure = FiniteSigStructure(tuple(one_cell), _separated(one_cell, 1))
         assert is_accurate_measurement(cell_structure, assignment) is True
         assert built == ["Fraction"] * len(one_cell)
+
+    def test_tied_values_rank_by_cells_and_build_no_fraction(self, monkeypatch):
+        # equal values share a pair and a cell; only distinct values in one cell
+        # need (cell, value) keys, here beside a tie inside that cell
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr("narch.measurement.Fraction", counted)
+        tied = {"a": Fraction(1, 3), "b": 0, "c": Fraction(2, 6), "d": 0, "e": 1, "f": "4/3"}
+        one_cell = {"a": TINY, "b": 0, "c": 0, "d": 1, "e": TINY}
+        for values, fractions in ((tied, 0), (one_cell, len(one_cell))):
+            values = {x: as_rational(v) for x, v in values.items()}
+            labels = list(values)
+            relation = _separated(values, 1)
+            structure = FiniteSigStructure(tuple(labels), relation)
+            assignment = MeasurementAssignment(values=values, threshold=SigThreshold(1))
+            built.clear()
+            assert is_accurate_measurement(structure, assignment) is True
+            assert len(built) == fractions
+            for pair in [(x1, x2) for x1 in labels for x2 in labels]:
+                assert _check_both(labels, relation ^ {pair}, values, 1) is False
 
     def test_rows_not_nested_with_as_many_pairs_as_separated(self):
         rnd = Random(271828)
