@@ -127,22 +127,25 @@ def as_rational(value: RationalLike) -> Fraction:
 class _Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` validates the arguments and stores them through the
-    slots' own setters (:func:`_slot_setters`), past the blocking
-    ``__setattr__``. The field names, a parent's first, are the class's
-    ``__match_args__``, as a dataclass's would be. Over the tuple of field
-    values the base gives value semantics: ``==`` only between objects of
-    the same class, the tuple's hash, the ``Name(field=value, ...)`` repr,
-    and copy and pickle that rebuild through the validating constructor.
+    A subclass stores its state in ``__slots__`` and its ``__init__``
+    validates the arguments and stores them through the slots' own setters
+    (:func:`_slot_setters`), past the blocking ``__setattr__``. Its
+    ``__match_args__``, the public fields in constructor order, are the
+    slots, a parent's first, unless a class that stores a private form
+    names them itself; they give the ``Name(field=value, ...)`` repr and
+    copy and pickle through the validating constructor. Over the tuple of
+    slot values the base gives ``==``, only within one class, and the hash.
     """
 
     __slots__ = ()
+    _storage: tuple = ()  # every slot, a parent's first
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        inherited = getattr(cls, "__match_args__", ())
-        cls.__match_args__ = (*inherited, *cls.__dict__.get("__slots__", ()))
+        own = cls.__dict__.get("__slots__", ())
+        cls._storage = (*cls._storage, *own)
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = (*getattr(cls, "__match_args__", ()), *own)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -150,16 +153,16 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    def _stored(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._storage])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._stored() == other._stored()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._stored())
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
@@ -167,7 +170,7 @@ class _Frozen:
 
     def __reduce__(self):
         # the default slot restore would go through the blocking __setattr__
-        return type(self), self._fields()
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
 
 def _slot_setters(cls: type) -> tuple:
@@ -192,6 +195,7 @@ class LaurentSeries(_Frozen):
     """
 
     __slots__ = ("_rows",)
+    __match_args__ = ("terms",)
 
     def __init__(self, terms: Iterable[TermPair] = ()) -> None:
         terms = tuple(tuple(pair) for pair in terms)
@@ -211,10 +215,6 @@ class LaurentSeries(_Frozen):
             rows.append((exponent, coeff.numerator, coeff.denominator))
         _set_rows(self, tuple(rows))
 
-    def __reduce__(self):
-        # rebuilt from the pairs the validating constructor takes
-        return LaurentSeries, (self.terms,)
-
     @property
     def terms(self) -> tuple[TermPair, ...]:
         """The (exponent, coefficient) pairs, ascending; coefficients are Fractions."""
@@ -233,12 +233,12 @@ class LaurentSeries(_Frozen):
         return Fraction(num, den)
 
     def __eq__(self, other: object) -> bool:
+        # isinstance, not the base's same-class test: the order reads subclasses too
         if isinstance(other, LaurentSeries):
             return self._rows == other._rows
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._rows)
+    __hash__ = _Frozen.__hash__  # defining __eq__ would otherwise unset it
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         if isinstance(other, LaurentSeries):

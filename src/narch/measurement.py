@@ -56,6 +56,7 @@ class FiniteSigStructure(_Frozen):
     """
 
     __slots__ = ("elements", "_rows", "_nested")
+    __match_args__ = ("elements", "relation")
 
     def __init__(self, elements: Sequence[str], relation: Iterable[Sequence[str]]) -> None:
         if isinstance(elements, str):
@@ -86,26 +87,11 @@ class FiniteSigStructure(_Frozen):
         _set_rows(self, tuple([tuple(sorted(row)) for row in rows]))
         _set_nested(self, _nested_row_index(rows))
 
-    def __reduce__(self):
-        # rebuilt from the labels and pairs the validating constructor takes
-        return FiniteSigStructure, (self.elements, self.relation)
-
     @property
     def relation(self) -> frozenset[tuple[str, str]]:
         """The (x1, x2) label pairs with x1 significantly less than x2."""
         elements = self.elements
         return frozenset([(x, elements[j]) for x, row in zip(elements, self._rows) for j in row])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FiniteSigStructure):
-            return self.elements == other.elements and self._rows == other._rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self._rows))
-
-    def __repr__(self) -> str:
-        return f"FiniteSigStructure(elements={self.elements!r}, relation={self.relation!r})"
 
 
 _set_elements, _set_rows, _set_nested = _slot_setters(FiniteSigStructure)
@@ -142,6 +128,7 @@ class MeasurementAssignment(_Frozen):
     """
 
     __slots__ = ("_pairs", "threshold")
+    __match_args__ = ("values", "threshold")
     threshold: SigThreshold
 
     def __init__(self, values: Mapping[str, RationalLike], threshold: ThresholdLike) -> None:
@@ -158,13 +145,6 @@ class MeasurementAssignment(_Frozen):
     def values(self) -> dict[str, Fraction]:
         """The label to Fraction map, rebuilt from the pairs on each read."""
         return {k: Fraction(p, q) for k, (p, q) in self._pairs.items()}
-
-    def __reduce__(self):
-        # rebuilt from the values the validating constructor takes
-        return type(self), (self.values, self.threshold)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(values={self.values!r}, threshold={self.threshold!r})"
 
 
 _set_pairs, _set_threshold = _slot_setters(MeasurementAssignment)

@@ -15,13 +15,15 @@ significantly below ``upper``. Arbitrary chains make that undecidable, so
 certificates here carry an affine chain ``x_i = base + i * step``; every
 coefficient of ``x_i`` is then affine in ``i``, which makes the universal
 check over all ``i`` decidable (see :func:`decide_affine_sig_prime`), and
-the leading term of any ``x_i`` is read from integers without building it.
+the leading term of any ``x_i`` is read from integers without building it:
+the rows come from one merge of base's and step's, and a decision builds
+and compares no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .laurent import (
     _ZERO_ROW,
@@ -58,20 +60,24 @@ ThresholdLike = Union[SigThreshold, Fraction, int, str]
 
 
 def _threshold(r: ThresholdLike) -> Fraction:
+    """The gap r as a positive ``Fraction``; its sign is read from the integer numerator."""
     if isinstance(r, SigThreshold):
         return r.r
     value = as_rational(r)
-    if value <= 0:
+    if value.numerator <= 0:  # as_rational gives a positive denominator
         raise ValueError("threshold must be positive")
+    return value
+
+
+def _series(value: object, what: str) -> LaurentSeries:
+    if not isinstance(value, LaurentSeries):
+        raise TypeError(f"{what} must be a LaurentSeries, got {value!r}")
     return value
 
 
 def sig_less_real(x: RationalLike, y: RationalLike, r: ThresholdLike) -> bool:
     """True when x <= y - r: the gap from x up to y is at least r."""
     return as_rational(x) <= as_rational(y) - _threshold(r)
-
-
-_NO_TERM = (0, 1)  # an absent exponent's coefficient
 
 
 def _sig_less(a: tuple, b: tuple, gn: int, gd: int) -> bool:
@@ -95,17 +101,27 @@ def sig_less_laurent(a: LaurentSeries, b: LaurentSeries, r: ThresholdLike) -> bo
     r apart. The zero series has infinite order and leading coefficient 0.
     """
     gap = _threshold(r)
+    a, b = _series(a, "left operand"), _series(b, "right operand")
     return _sig_less(_leading_row(a), _leading_row(b), gap.numerator, gap.denominator)
 
 
-def verify_chain_prefix(seq: Sequence[LaurentSeries], r: ThresholdLike) -> bool:
-    """True when every consecutive pair of the prefix climbs significantly."""
-    if not seq:
+def _prefix_rows(seq: Iterable[LaurentSeries]) -> list[tuple]:
+    """Each prefix element's leading row, read in one pass, so an iterator is read once."""
+    leads = [_leading_row(_series(x, "chain element")) for x in seq]
+    if not leads:
         raise ValueError("chain prefix must be non-empty")
-    gap = _threshold(r)
-    gn, gd = gap.numerator, gap.denominator
-    leads = [_leading_row(x) for x in seq]
+    return leads
+
+
+def _climbs(leads: list[tuple], gn: int, gd: int) -> bool:
     return all(_sig_less(a, b, gn, gd) for a, b in zip(leads, leads[1:]))
+
+
+def verify_chain_prefix(seq: Iterable[LaurentSeries], r: ThresholdLike) -> bool:
+    """True when every consecutive pair of the prefix climbs significantly."""
+    leads = _prefix_rows(seq)
+    gap = _threshold(r)
+    return _climbs(leads, gap.numerator, gap.denominator)
 
 
 def laurent_nonarch_witness(
@@ -126,23 +142,18 @@ def laurent_nonarch_witness(
 
 
 def verify_nonarch_prefix(
-    chain: Sequence[LaurentSeries], y: LaurentSeries, r: ThresholdLike
+    chain: Iterable[LaurentSeries], y: LaurentSeries, r: ThresholdLike
 ) -> bool:
     """Check a trapped-chain prefix: climbing, below y, and y never overtaken."""
     gap = _threshold(r)
-    if not verify_chain_prefix(chain, gap):
-        return False
     gn, gd = gap.numerator, gap.denominator
-    top = _leading_row(y)
-    if not all(_sig_less(_leading_row(x), top, gn, gd) for x in chain):
+    leads = _prefix_rows(chain)
+    top = _leading_row(_series(y, "ceiling"))
+    if not _climbs(leads, gn, gd):
         return False
-    return not any(_sig_less(top, _leading_row(x), gn, gd) for x in chain)
-
-
-def _series(value: object, what: str) -> LaurentSeries:
-    if not isinstance(value, LaurentSeries):
-        raise TypeError(f"{what} must be a LaurentSeries, got {value!r}")
-    return value
+    if not all(_sig_less(x, top, gn, gd) for x in leads):
+        return False
+    return not any(_sig_less(top, x, gn, gd) for x in leads)
 
 
 class AffineChain(_Frozen):
@@ -234,16 +245,24 @@ def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:
 
     The coefficient of ``x_i`` at e is (p + i * q) / d with d > 0, from
     base's b_num/b_den and step's s_num/s_den there: p = b_num * s_den,
-    q = s_num * b_den, d = b_den * s_den, read off both series' rows; an
-    absent exponent counts as 0/1.
+    q = s_num * b_den, d = b_den * s_den. One merge walk over the two
+    ascending row tuples, as in :func:`~narch.laurent.add`, gives them; at
+    an exponent only one series has, the other's coefficient is 0/1.
     """
-    base = {e: (n, d) for e, n, d in chain.base._rows}
-    step = {e: (n, d) for e, n, d in chain.step._rows}
-    rows = []
-    for exponent in sorted(base.keys() | step.keys()):
-        b_num, b_den = base.get(exponent, _NO_TERM)
-        s_num, s_den = step.get(exponent, _NO_TERM)
-        rows.append((exponent, b_num * s_den, s_num * b_den, b_den * s_den))
+    base, step = chain.base._rows, chain.step._rows
+    rows, j, end = [], 0, len(step)
+    for eb, nb, db in base:
+        while j < end and step[j][0] < eb:  # step's rows below eb come first
+            es, ns, ds = step[j]
+            rows.append((es, 0, ns, ds))
+            j += 1
+        if j < end and step[j][0] == eb:
+            _, ns, ds = step[j]
+            rows.append((eb, nb * ds, ns * db, db * ds))
+            j += 1
+        else:
+            rows.append((eb, nb, 0, db))
+    rows += [(e, 0, n, d) for e, n, d in step[j:]]
     return rows
 
 
@@ -290,24 +309,27 @@ def _breakpoints(
       nonnegative (e0 < u, F = floor(rho) + 1) or crosses lam - gap
       upwards (e0 == u, F = floor(tau) + 1 for tau = (lam - gap - b) / s).
 
-    Both are at most the stabilization index, so clipping drops only
-    negative indices.
+    Each is at most the stabilization index; the list, ascending, leaves
+    out negative indices and repeats, and is [0] alone when s = 0.
     """
     stabilization = 0
     for _, p, q, _ in rows:
-        if q:
-            stabilization = max(stabilization, -p // q + 1)
-    candidates = {0}
-    if rows and rows[0][2]:
-        exponent, p, q, d = rows[0]
-        root = -p // q
-        candidates.update((root, root + 1))
-        order, un, ud = top
-        if order == exponent:
-            crossing = ((un * gd - gn * ud) * d - p * ud * gd) // (q * ud * gd)
-            stabilization = max(stabilization, crossing + 1)
-            candidates.add(crossing + 1)
-    return stabilization, sorted(i for i in candidates if 0 <= i <= stabilization)
+        if q and -p // q >= stabilization:
+            stabilization = -p // q + 1
+    if not rows or not rows[0][2]:
+        return stabilization, [0]
+    exponent, p, q, d = rows[0]
+    root = -p // q
+    # 0, then root and root + 1 where they are positive: no index twice
+    candidates = [0, root, root + 1] if root > 0 else [0, 1] if root == 0 else [0]
+    order, un, ud = top
+    if order == exponent:
+        crossing = ((un * gd - gn * ud) * d - p * ud * gd) // (q * ud * gd)
+        stabilization = max(stabilization, crossing + 1)
+        if crossing >= 0 and crossing + 1 not in candidates:
+            candidates.append(crossing + 1)
+            candidates.sort()
+    return stabilization, candidates
 
 
 def decide_affine_sig_prime(
@@ -335,7 +357,7 @@ def decide_affine_sig_prime(
     Raises ValueError when the chain does not start at ``lower``.
     """
     gap = _threshold(r)
-    if cert.chain.base != cert.lower:
+    if cert.chain.base._rows != cert.lower._rows:
         raise ValueError("certificate chain must start at its lower element")
     gn, gd = gap.numerator, gap.denominator
     rows = _affine_rows(cert.chain)
@@ -394,8 +416,5 @@ def certificate_from_json(obj: object) -> SigPrimeCertificate:
         raise ValueError(f"certificate JSON missing key {exc}") from exc
     if not isinstance(chain_obj, dict) or "base" not in chain_obj or "step" not in chain_obj:
         raise ValueError("certificate 'chain' must have 'base' and 'step'")
-    chain = AffineChain(
-        base=series_from_json(chain_obj["base"]),
-        step=series_from_json(chain_obj["step"]),
-    )
+    chain = AffineChain(series_from_json(chain_obj["base"]), series_from_json(chain_obj["step"]))
     return SigPrimeCertificate(lower=lower, upper=upper, chain=chain)

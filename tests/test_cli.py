@@ -285,7 +285,8 @@ class TestDuplicateJsonKeys:
 
 class TestStdoutFailure:
     def _assert_io_error(self, proc):
-        stderr = proc.stderr.read()
+        with proc.stderr:
+            stderr = proc.stderr.read()
         assert proc.wait() == 3
         assert stderr.startswith("narch: cannot write stdout:")
         assert "Traceback" not in stderr

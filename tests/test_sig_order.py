@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -119,6 +120,45 @@ class TestChainPrefix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             verify_chain_prefix([], 1)
+
+    def test_iterator_is_checked_like_the_list(self):
+        # the climb fails at 3 -> 5 and 3 is above y: the list and the iterator both say no
+        chain, y = [monomial(1, 0), monomial(3, 0), monomial(5, 0)], monomial(2, 0)
+        assert not verify_nonarch_prefix(chain, y, 1)
+        assert not verify_nonarch_prefix(iter(chain), y, 1)
+        trapped, top = laurent_nonarch_witness(1, 4)
+        assert verify_nonarch_prefix(iter(trapped), top, 1)
+        assert verify_chain_prefix(iter(trapped), 1)
+        assert not verify_nonarch_prefix((x for x in [*trapped, top]), top, 1)
+
+    def test_empty_iterator_rejected(self):
+        with pytest.raises(ValueError, match="^chain prefix must be non-empty$"):
+            verify_chain_prefix(iter([]), 1)
+        with pytest.raises(ValueError, match="^chain prefix must be non-empty$"):
+            verify_nonarch_prefix(iter([]), ONE, 1)
+
+
+class TestSeriesArguments:
+    """The Laurent predicates name a non-series argument, not the private rows."""
+
+    @pytest.mark.parametrize("call, what, value", [
+        (lambda: sig_less_laurent(1, ONE, 1), "left operand", "1"),
+        (lambda: sig_less_laurent(ONE, "1", 1), "right operand", "'1'"),
+        (lambda: verify_chain_prefix(["1", "2"], 1), "chain element", "'1'"),
+        (lambda: verify_chain_prefix([ONE, Fraction(2)], 1), "chain element", "Fraction(2, 1)"),
+        (lambda: verify_nonarch_prefix([ONE, 2], ONE, 1), "chain element", "2"),
+        (lambda: verify_nonarch_prefix(iter([ONE]), "2", 1), "ceiling", "'2'"),
+    ], ids=["lhs", "rhs", "prefix", "prefix-rational", "nonarch-prefix", "ceiling"])
+    def test_non_series_raises_type_error(self, call, what, value):
+        message = f"{what} must be a LaurentSeries, got {value}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_threshold_is_checked_first(self):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            sig_less_laurent(1, ONE, 0)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            verify_nonarch_prefix(["1"], "2", 0)
 
 
 class TestWitness:
@@ -549,3 +589,18 @@ class TestDecisionReadsRows:
         chain, y = laurent_nonarch_witness(Fraction(1, 3), 5)
         assert verify_nonarch_prefix(chain, y, Fraction(1, 3))
         assert sig_less_laurent(chain[0], y, 1)
+
+    def test_decisions_compare_no_fraction(self, monkeypatch):
+        rnd = Random(0xB0B5)
+        sampled = list(_sampled_certificates(rnd, 400))
+        expected = [decide_affine_sig_prime(cert, r) for cert, r in sampled]
+        chain, y = laurent_nonarch_witness(Fraction(1, 3), 5)
+
+        def refuse(self, other):
+            raise AssertionError("a decision compared a Fraction")
+
+        for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        assert [decide_affine_sig_prime(cert, r) for cert, r in sampled] == expected
+        assert verify_nonarch_prefix(chain, y, Fraction(1, 3))
+        assert sig_less_laurent(chain[0], y, Fraction(1, 3))

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from narch.bandit import Arm, EnvState, EpsilonGreedyResult, PullRow, RewardScheme, RunConfig
-from narch.laurent import parse
-from narch.measurement import MeasurementAssignment
+from narch.laurent import LaurentSeries, parse
+from narch.measurement import FiniteSigStructure, MeasurementAssignment
 from narch.sig_order import AffineChain, SigPrimeCertificate, SigPrimeDecision, SigThreshold
 
 _CONFIG = RunConfig(RewardScheme.static_approx("7/2"), "egreedy", 3, "1/2", 7)
@@ -117,12 +117,50 @@ def test_copies_and_pickles_are_equal(value):
 
 @pytest.mark.parametrize("value", VALUES)
 def test_fields_cannot_be_assigned_or_deleted(value):
-    for name in type(value).__match_args__:
+    # a public field may be a property built on each read, so it reads back
+    # equal; the slots it is built from read back as the identical objects
+    cls = type(value)
+    stored = [getattr(value, name) for name in cls.__slots__]
+    for name in (*cls.__match_args__, *cls.__slots__):
         before = getattr(value, name)
         with pytest.raises(AttributeError):
             setattr(value, name, before)
         with pytest.raises(AttributeError):
             delattr(value, name)
-        assert getattr(value, name) is before
+        assert getattr(value, name) == before
+    assert all(getattr(value, name) is s for name, s in zip(cls.__slots__, stored))
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+# classes that store a private form name their public fields instead
+PUBLIC_FIELDS = [
+    (LaurentSeries, ("terms",)),
+    (FiniteSigStructure, ("elements", "relation")),
+    (MeasurementAssignment, ("values", "threshold")),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields", PUBLIC_FIELDS, ids=[cls.__name__ for cls, _ in PUBLIC_FIELDS]
+)
+def test_match_args_name_public_fields(cls, fields):
+    assert cls.__match_args__ == fields
+    lookalike = type("Lookalike", (cls,), {"__slots__": ()})
+    assert lookalike.__match_args__ == fields
+
+
+def test_positional_patterns_bind_public_fields():
+    # a pattern that did not match would leave its names unbound
+    match parse("1/2 eps^-1 + 3"):
+        case LaurentSeries(terms):
+            pass
+    assert terms == ((-1, Fraction(1, 2)), (0, Fraction(3)))
+    match FiniteSigStructure(["a", "b"], [("a", "b")]):
+        case FiniteSigStructure(elements, relation):
+            pass
+    assert (elements, relation) == (("a", "b"), frozenset({("a", "b")}))
+    match MeasurementAssignment({"a": "2/4"}, 1):
+        case MeasurementAssignment(values, threshold):
+            pass
+    assert (values, threshold) == ({"a": Fraction(1, 2)}, SigThreshold(1))
