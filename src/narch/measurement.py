@@ -5,9 +5,9 @@ integer pair ``(numerator, denominator)``; it is accurate for a structure
 exactly when the relation holds iff the assigned values are at
 least the threshold apart. For the trapped-chain family the minimum
 feasible span of any accurate measurement grows linearly with the chain
-length (:func:`min_feasible_top`), so no single assignment can serve every
-prefix; bounded monotone measurements instead plateau, which
-:func:`diminishing_returns_index` detects.
+length (:func:`min_feasible_top`), so no single real-valued assignment can
+serve every prefix; bounded monotone measurements instead plateau, which
+:func:`diminishing_returns_index` detects. Both work on integer pairs.
 
 The accuracy check rests on two exact facts. First, the rows of the
 separated set S, ``S_i = {j : f(x_j) >= f(x_i) + r}``, are suffixes of the
@@ -24,8 +24,9 @@ values share a cell; ``MeasurementAssignment.values`` builds them when read.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .laurent import (
     RationalLike,
@@ -34,7 +35,6 @@ from .laurent import (
     _rational_parts,
     _reduced,
     _slot_setters,
-    as_rational,
 )
 from .sig_order import SigThreshold, ThresholdLike, _threshold
 
@@ -266,7 +266,8 @@ def min_feasible_top(n: int, r: ThresholdLike) -> Fraction:
     """
     if _integer(n, "chain index") < 0:
         raise ValueError("chain index must be non-negative")
-    return (n + 1) * _threshold(r)
+    gap = _threshold(r)
+    return Fraction((n + 1) * gap.numerator, gap.denominator)
 
 
 def diminishing_returns_index(
@@ -277,23 +278,27 @@ def diminishing_returns_index(
     The sequence must be non-decreasing (a monotone measurement); a
     decreasing step anywhere raises ValueError, and so does a bare string
     or bytes, whose characters or byte values would be read as the values,
-    or a set, whose order depends on the hash seed.
+    a set, whose order depends on the hash seed, or a mapping, whose keys
+    would be read as the values. One pass cross-multiplies the integer pairs.
     """
     if isinstance(seq, (str, bytes)):
         raise ValueError("sequence must hold rationals, not be a string or bytes")
     if isinstance(seq, (set, frozenset)):
         raise ValueError("sequence must be ordered, not a set")
-    tolerance = as_rational(tol)
-    if tolerance <= 0:
+    if isinstance(seq, Mapping):
+        raise ValueError("sequence must hold the values, not be a mapping")
+    tn, td = _rational_parts(tol)
+    if tn <= 0:
         raise ValueError("tolerance must be positive")
-    values = [as_rational(v) for v in seq]
-    for i in range(len(values) - 1):
-        if values[i + 1] < values[i]:
+    pairs = [_rational_parts(v) for v in seq]
+    index = None
+    for i, ((p, q), (s, t)) in enumerate(zip(pairs, pairs[1:])):
+        rise = s * q - p * t  # (s/t - p/q) * q*t, over positive denominators
+        if rise < 0:
             raise ValueError(f"sequence decreases at index {i}")
-    for i in range(len(values) - 1):
-        if values[i + 1] - values[i] < tolerance:
-            return i
-    return None
+        if index is None and rise * td < tn * q * t:
+            index = i
+    return index
 
 
 def structure_from_json(obj: object) -> FiniteSigStructure:

@@ -1,10 +1,18 @@
-"""The pairwise accuracy check: the biconditional tested on every ordered pair.
+"""Plain references for the measurement layer, checked against the library.
 
-The library decides the same question from value ranks; the differential
-tests in ``test_measurement.py`` check the two against each other.
+The pairwise accuracy check tests the biconditional on every ordered pair;
+the library decides the same question from value ranks. The two closed
+forms below compute in ``Fraction`` arithmetic; the library reads the same
+values as integer pairs. The differential tests in ``test_measurement.py``
+check each library function against its reference.
 """
 
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from narch.laurent import RationalLike, _integer, as_rational
 from narch.measurement import FiniteSigStructure, MeasurementAssignment
+from narch.sig_order import ThresholdLike, _threshold
 
 
 def pairwise_is_accurate_measurement(
@@ -29,3 +37,35 @@ def pairwise_is_accurate_measurement(
             if ((x1, x2) in relation) != (v1 <= shifted[x2]):
                 return False
     return True
+
+
+def fraction_min_feasible_top(n: int, r: ThresholdLike) -> Fraction:
+    """(n + 1) * r by Fraction arithmetic, after the same argument checks."""
+    if _integer(n, "chain index") < 0:
+        raise ValueError("chain index must be non-negative")
+    return (n + 1) * _threshold(r)
+
+
+def fraction_diminishing_returns_index(
+    seq: Sequence[RationalLike], tol: RationalLike
+) -> Optional[int]:
+    """The first index whose rise is below tol, by Fraction comparisons.
+
+    Refuses strings, bytes and sets, then checks the whole sequence for a
+    decrease before looking for the plateau.
+    """
+    if isinstance(seq, (str, bytes)):
+        raise ValueError("sequence must hold rationals, not be a string or bytes")
+    if isinstance(seq, (set, frozenset)):
+        raise ValueError("sequence must be ordered, not a set")
+    tolerance = as_rational(tol)
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    values = [as_rational(v) for v in seq]
+    for i in range(len(values) - 1):
+        if values[i + 1] < values[i]:
+            raise ValueError(f"sequence decreases at index {i}")
+    for i in range(len(values) - 1):
+        if values[i + 1] - values[i] < tolerance:
+            return i
+    return None

@@ -7,8 +7,9 @@ are checked, and so is the value it returns. Frames of the tests and of
 the standard library are not traced; the value classes' own methods
 (``__init__``, ``__eq__``, ``__repr__`` and the rest) live in ``narch``
 and are traced like any other frame. The runs are the CLI commands end
-to end, in process, a ``measure check`` of a long chain, and the affine
-decision on certificates from both samplers.
+to end, in process, a ``measure check`` of a long chain, ``measure
+plateau`` and both measurement closed forms on long inputs, and the
+affine decision on certificates from both samplers.
 """
 
 import contextlib
@@ -16,11 +17,17 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from random import Random
 
 import narch
 import narch.cli
-from narch.measurement import chain_prefix_structure, structure_to_json
+from narch.measurement import (
+    chain_prefix_structure,
+    diminishing_returns_index,
+    min_feasible_top,
+    structure_to_json,
+)
 from narch.sig_order import decide_affine_sig_prime
 
 from .sampling import breakpoint_certificate, random_certificate, random_threshold
@@ -122,6 +129,25 @@ def test_measure_check_of_a_long_chain_holds_no_float(tmp_path):
         outputs.append((code, stdout.getvalue()))
         assert trap.found == [] and trap.events > 200_000
     assert outputs == [(0, '{"accurate": true}\n'), (0, '{"accurate": false}\n')]
+
+
+def test_measure_closed_forms_hold_no_float(tmp_path):
+    # 2,000 values from -3 up, rising by (2000 - i)/997: below 1/2 first at index 1502
+    level, seq = Fraction(-3), []
+    for i in range(2000):
+        seq.append(f"{3 * level.numerator}/{3 * level.denominator}" if i % 2 else level)
+        level += Fraction(2000 - i, 997)
+    path = tmp_path / "seq.txt"
+    path.write_text("\n".join(str(v) for v in seq) + "\n", encoding="utf-8")
+    r = Fraction(7, 9)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), FloatTrap(NARCH_DIR) as trap:
+        code = narch.cli.main(["measure", "plateau", "--seq", str(path), "--tol", "1/2"])
+        index = diminishing_returns_index(seq, "1/2")
+        tops = [min_feasible_top(n, r) for n in range(10_001)]
+    assert trap.found == [] and trap.events > 100_000
+    assert (code, stdout.getvalue(), index) == (0, '{"index": 1502}\n', 1502)
+    assert tops == [(n + 1) * r for n in range(10_001)]
 
 
 def test_affine_decisions_hold_no_float():

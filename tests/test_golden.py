@@ -6,6 +6,7 @@ bytes identical.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -113,3 +114,37 @@ def test_golden_trace(narch_cli, tmp_path, argv, csv_sha256, summary_sha256):
     assert result.returncode == 0, result.stderr
     assert _sha256(out.read_bytes()) == csv_sha256
     assert _sha256(result.stdout.encode()) == summary_sha256
+
+
+def _plateau_sequence() -> str:
+    """2,000 lines from -3 up, rising by (2000 - i)/997 with flat steps late on.
+
+    Every third value is written unreduced (``-6/2``, ``6012/1994``); the
+    rise first falls below 1/2 at index 1502, and from index 1700 every
+    other step is flat, so equal neighbours follow the plateau.
+    """
+    level, lines = Fraction(-3), []
+    for i in range(2000):
+        unreduced = f"{2 * level.numerator}/{2 * level.denominator}"
+        lines.append(unreduced if i % 3 == 0 else str(level))
+        level += 0 if i >= 1700 and i % 2 else Fraction(2000 - i, 997)
+    return "\n".join(lines) + "\n"
+
+
+MEASURE_GOLDEN = [
+    (["feasible-top", "--n-min", "0", "--n-max", "2000", "--r", "7/9"],
+     "9225e681ba0b3b5b21f52c00122bed8531a82450d5b6f08636afe8a66ad1e7a3"),
+    (["plateau", "--tol", "1/2"],
+     "29dce8f493b8762fca8b922ff0e7c9f2e49c18c91a6def84f81898d1387174a4"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha256", MEASURE_GOLDEN, ids=["feasible-top", "plateau"])
+def test_golden_measure(narch_cli, tmp_path, argv, stdout_sha256):
+    if argv[0] == "plateau":
+        path = tmp_path / "seq.txt"
+        path.write_text(_plateau_sequence(), encoding="utf-8")
+        argv = [*argv, "--seq", str(path)]
+    result = narch_cli("measure", *argv)
+    assert result.returncode == 0, result.stderr
+    assert _sha256(result.stdout.encode()) == stdout_sha256

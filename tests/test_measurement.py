@@ -3,6 +3,7 @@ import pickle
 import tracemalloc
 from fractions import Fraction
 from random import Random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,11 @@ from narch.measurement import (
     assignment_to_json,
 )
 
-from .reference_measurement import pairwise_is_accurate_measurement
+from .reference_measurement import (
+    fraction_diminishing_returns_index,
+    fraction_min_feasible_top,
+    pairwise_is_accurate_measurement,
+)
 
 
 def two_element_structure():
@@ -491,7 +496,6 @@ class TestCellsAndNestedRows:
             return counted
 
         monkeypatch.setattr("narch.measurement.Fraction", spy("Fraction", Fraction))
-        monkeypatch.setattr("narch.measurement.as_rational", spy("as_rational", as_rational))
         loaded = structure_from_json(structure)
         for chosen, accurate in ((values, True), (perturbed, False)):
             text = {x: f"{v.numerator}/{v.denominator}" for x, v in chosen.items()}
@@ -711,6 +715,13 @@ class TestDiminishingReturns:
         with pytest.raises(ValueError, match="not a set"):
             diminishing_returns_index(kind({"1", "5", "2", "9", "3"}), "2")
 
+    @pytest.mark.parametrize("kind", [dict, MappingProxyType])
+    def test_rejects_a_mapping(self, kind):
+        # iterated, a mapping gives its keys 0, 1, 5, which never rise by less than 1;
+        # the values 5, 6, 0 decrease at index 1
+        with pytest.raises(ValueError, match="not be a mapping"):
+            diminishing_returns_index(kind({0: 5, 1: 6, 5: 0}), 1)
+
     @given(
         st.lists(
             st.fractions(min_value=0, max_value=4, max_denominator=8),
@@ -723,3 +734,79 @@ class TestDiminishingReturns:
         seq = sorted(values)
         # range <= 4 and tol >= 1/4, so any 17 consecutive gaps cannot all reach tol
         assert diminishing_returns_index(seq, tol) is not None
+
+
+def _outcome(function, *args):
+    """The result with its type, or the exception's type and message."""
+    try:
+        result = function(*args)
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+    return type(result), result
+
+
+@st.composite
+def written(draw, value: Fraction):
+    """value as a Fraction, an int where it is whole, or text over k times its terms."""
+    form = draw(st.sampled_from(["fraction", "int", "text"]))
+    if form == "fraction":
+        return value
+    if form == "int" and value.denominator == 1:
+        return int(value)
+    k = draw(st.integers(1, 4))
+    return f"{value.numerator * k}/{value.denominator * k}"
+
+
+def rational_likes(min_value=-6, max_value=6):
+    return st.fractions(min_value=min_value, max_value=max_value, max_denominator=9).flatmap(
+        written
+    )
+
+
+@st.composite
+def sequences(draw):
+    """Values from a start by drawn rises: zero, positive or, sometimes, negative."""
+    lowest = draw(st.sampled_from([0, 0, -1]))
+    rises = draw(st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(lowest, 3, max_denominator=9)),
+        max_size=24,
+    ))
+    level, values = draw(st.fractions(-6, 6, max_denominator=9)), []
+    for rise in [Fraction(0), *rises]:
+        level += rise
+        values.append(draw(written(level)))
+    return values[1:] if draw(st.booleans()) else values
+
+
+class TestAgainstFractionReference:
+    """The integer-pair closed forms against their Fraction arithmetic references."""
+
+    @given(
+        st.one_of(st.integers(-3, 10_000), st.sampled_from([True, 2.0, Fraction(3)])),
+        st.one_of(
+            rational_likes(-2, 4),
+            rational_likes(Fraction(1, 9), 4).map(SigThreshold),
+            st.sampled_from([0.5, "1/0", "+1", None]),
+        ),
+    )
+    def test_min_feasible_top(self, n, r):
+        assert _outcome(min_feasible_top, n, r) == _outcome(fraction_min_feasible_top, n, r)
+
+    @given(sequences(), st.one_of(rational_likes(-1, 2), st.sampled_from([0, "0/3", 0.5])))
+    def test_diminishing_returns_index(self, seq, tol):
+        assert _outcome(diminishing_returns_index, seq, tol) == _outcome(
+            fraction_diminishing_returns_index, seq, tol
+        )
+
+    @pytest.mark.parametrize("seq, tol, expected", [
+        # plateaus at 1, then decreases at 3: the decrease is raised
+        (["0", "4/2", "5/2", "6/2", "-6/8"], 1, (ValueError, "sequence decreases at index 3")),
+        ([0, Fraction(1, 3), Fraction(1, 3), "2/6", 1], "1/3", (int, 1)),
+        # equal neighbours: a zero tolerance is refused before the values are read
+        (["3", "6/2", 3], 0, (ValueError, "tolerance must be positive")),
+        (["3", "6/2", "x"], 1, (ValueError, "not a rational: 'x'")),
+        ([1, 2.5], 1, (TypeError, "expected an exact rational, got float")),
+    ], ids=["plateau-then-decrease", "equal-neighbours", "zero-tolerance", "bad-text", "float"])
+    def test_examples(self, seq, tol, expected):
+        assert _outcome(fraction_diminishing_returns_index, seq, tol) == expected
+        assert _outcome(diminishing_returns_index, seq, tol) == expected
