@@ -169,8 +169,8 @@ def _cmd_measure_plateau(args: argparse.Namespace) -> int:
     # split on LF only: str.splitlines would also split inside a line at \f, \v or \x1c;
     # strip the grammar's ASCII blanks only: str.strip would also drop NBSP or U+3000
     lines = [line.strip(_BLANK_CHARS) for line in _read_text(args.seq).split("\n")]
-    seq = [as_rational(line) for line in lines if line]
-    index = diminishing_returns_index(seq, as_rational(args.tol))
+    # the library reads the text as rationals, --tol before any line
+    index = diminishing_returns_index([line for line in lines if line], args.tol)
     print(json.dumps({"index": index}))
     return EXIT_OK
 

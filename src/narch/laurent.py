@@ -27,6 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -304,18 +305,27 @@ def _reduced(exponent: int, num: int, den: int) -> tuple[int, int, int]:
     return exponent, num // divisor, den // divisor
 
 
+_exponent_of = itemgetter(0)
+
+
 def _collect(triples: Iterable[tuple[int, int, int]]) -> LaurentSeries:
     # The one coefficient accumulator of constructors and products, over checked
-    # (exponent, numerator, denominator > 0) integers: sums stay integer pairs,
-    # and each surviving sum is reduced to its row.
-    acc: dict[int, tuple[int, int]] = {}
-    for exponent, num, den in triples:
-        if exponent in acc:
-            n, d = acc[exponent]
-            acc[exponent] = (n + num, d) if d == den else (n * den + num * d, d * den)
+    # (exponent, numerator, denominator > 0) integers. A stable sort by exponent
+    # alone lines up equal exponents without comparing a coefficient; one pass
+    # then sums each run as an integer pair and reduces each nonzero sum to its row.
+    rows, exponent, n, d = [], None, 0, 1
+    for e, num, den in sorted(triples, key=_exponent_of):
+        if e != exponent:
+            if n:
+                rows.append(_reduced(exponent, n, d))
+            exponent, n, d = e, num, den
+        elif d == den:
+            n += num
         else:
-            acc[exponent] = (num, den)
-    return _raw(tuple([_reduced(e, n, d) for e, (n, d) in sorted(acc.items()) if n]))
+            n, d = n * den + num * d, d * den
+    if n:
+        rows.append(_reduced(exponent, n, d))
+    return _raw(tuple(rows))
 
 
 def normalize(pairs: Iterable[tuple[int, RationalLike]]) -> LaurentSeries:
@@ -447,7 +457,7 @@ def parse(text: str) -> LaurentSeries:
     denominator, just after an ``eps`` without ``^``, or at a character
     that is not a connective.
     """
-    triples, pos, sign = [], 0, 1
+    triples, pos, end, sign = [], 0, len(text), ""
     while True:
         term = _TERM.match(text, pos)  # every part is optional: the match never fails
         minus, num, den, eps, exp_minus, exp = term.groups()
@@ -455,20 +465,26 @@ def parse(text: str) -> LaurentSeries:
             raise SeriesParseError("expected digits", term.start(2))
         if den == "":
             raise SeriesParseError("expected denominator digits", term.start(3))
-        if den is not None and not int(den):
+        den = int(den or 1)
+        if not den:
             raise SeriesParseError("denominator must be nonzero", term.start(3))
-        if eps and exp is None:
+        if not eps:
+            exponent = 0
+        elif exp is None:
             raise SeriesParseError("expected '^' after 'eps'", term.end(4))
-        if exp == "":
+        elif not exp:
             raise SeriesParseError("expected exponent digits", term.start(6))
-        exponent = int(exp_minus + exp) if eps else 0
-        triples.append((exponent, sign * int(minus + num), int(den or 1)))
+        else:
+            exponent = -int(exp) if exp_minus else int(exp)
+        # a leading "-" and a "-" connective cancel
+        triples.append((exponent, int(num) if minus == sign else -int(num), den))
         pos = term.end()
-        if pos == len(text):
+        if pos == end:
             return _collect(triples)
-        if text[pos] not in "+-":
-            raise SeriesParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
-        sign = 1 if text[pos] == "+" else -1
+        connective = text[pos]
+        if connective not in "+-":
+            raise SeriesParseError(f"expected '+' or '-', found {connective!r}", pos)
+        sign = "" if connective == "+" else "-"
         pos += 1
 
 

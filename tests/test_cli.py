@@ -233,6 +233,19 @@ class TestUndecodableFile:
         assert (code, stdout) == (2, "")
         assert stderr == f"narch: invalid input: not a rational: {shown}\n"
 
+    @pytest.mark.parametrize("tol, message", [
+        ("1/0", "not a rational: '1/0'"),
+        ("0", "tolerance must be positive"),
+        ("1/2", "not a rational: 'x'"),
+    ], ids=["bad-tol-text", "zero-tol", "good-tol"])
+    def test_plateau_reports_a_bad_tol_before_a_bad_line(self, tmp_path, tol, message):
+        path = tmp_path / "seq.txt"
+        path.write_text("0\nx\n", encoding="utf-8")
+        code, stdout, stderr = _run_in_process(
+            ["measure", "plateau", "--seq", str(path), "--tol", tol]
+        )
+        assert (code, stdout, stderr) == (2, "", f"narch: invalid input: {message}\n")
+
     def test_plateau_strips_ascii_blanks(self, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_text(" 0\t\r\n\x0b1\x0c\n\n \n2\n", encoding="utf-8")

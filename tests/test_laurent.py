@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import operator
 import pickle
@@ -428,6 +429,24 @@ def _json_terms():
     return _raw_pairs(_wide_coefficients()).map(lambda p: [[e, cell(c)] for e, c in p])
 
 
+@st.composite
+def _clashing_terms(draw):
+    """At most five text terms over at most three exponents, with repeated
+    exponents, mixed and unreduced denominators and an exact cancellation."""
+    exponents = st.sampled_from(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)))
+    dens = st.sampled_from([1, 2, 3, 4, 6])
+    terms = draw(st.lists(
+        st.builds(lambda e, n, d: (e, f"{n}/{d}"), exponents, st.integers(-6, 6), dens),
+        min_size=1, max_size=4,
+    ))
+    if draw(st.booleans()):  # cancel one term exactly, over another denominator
+        exponent, text = draw(st.sampled_from(terms))
+        n, d = map(int, text.split("/"))
+        k = draw(st.integers(2, 3))
+        terms.append((exponent, f"{-n * k}/{d * k}"))
+    return terms
+
+
 def _assert_same(value: LaurentSeries, expected: LaurentSeries) -> None:
     assert value.terms == expected.terms
     assert LaurentSeries(value.terms) == value  # the validating constructor
@@ -489,6 +508,15 @@ class TestAgainstReference:
     def test_scalar_mul(self, q, pairs):
         a = reference.normalize(pairs)
         _assert_same(scalar_mul(q, a), reference.scalar_mul(q, a))
+
+    @given(_clashing_terms())
+    def test_every_order_of_the_terms_gives_the_same_rows(self, terms):
+        # the accumulator sums each exponent's terms in input order
+        value = normalize(terms)
+        _assert_same(value, reference.normalize(terms))
+        for arrangement in itertools.permutations(terms):
+            assert normalize(arrangement)._rows == value._rows
+            assert series_from_json({"terms": [list(t) for t in arrangement]})._rows == value._rows
 
     @given(_json_terms())
     def test_series_from_json(self, terms):
@@ -554,6 +582,16 @@ class TestParseAgainstReference:
             ("1 eps2", "expected '^' after 'eps'", 5),
             ("1 eps^-x", "expected exponent digits", 7),
             ("1 eps^2 x", "expected '+' or '-', found 'x'", 8),
+            # after a "-" connective or a leading "-" sign
+            ("1 - -x", "expected digits", 5),
+            ("-/2", "expected digits", 1),
+            ("- 1", "expected digits", 1),
+            ("1 - 2 -", "expected digits", 7),
+            ("1 - 2 eps^3 -+1", "expected digits", 13),
+            ("-1 - 2/ eps", "expected denominator digits", 7),
+            ("1 - -2/0", "denominator must be nonzero", 7),
+            ("-1 eps", "expected '^' after 'eps'", 6),
+            ("2 - 3 eps^-", "expected exponent digits", 11),
         ],
     )
     def test_each_error_and_its_position(self, text, message, position):
