@@ -31,7 +31,6 @@ from .laurent import (
     ZERO,
     _Frozen,
     _integer,
-    _slot_setters,
     as_rational,
     compare_scaled,
     format_series,
@@ -82,8 +81,7 @@ class RewardScheme(_Frozen):
             approx = as_rational(approx)
             if approx <= 0:
                 raise ValueError("approximation constant must be positive")
-        _set_kind(self, kind)
-        _set_approx(self, approx)
+        self._store(kind, approx)
 
     @classmethod
     def exact_laurent(cls) -> "RewardScheme":
@@ -128,9 +126,6 @@ class RewardScheme(_Frozen):
         return self.approx * (1 << j)
 
 
-_set_kind, _set_approx = _slot_setters(RewardScheme)
-
-
 class EnvState(_Frozen):
     """Press counters; ``blue_presses`` never exceeds ``step_count``."""
 
@@ -143,17 +138,17 @@ class EnvState(_Frozen):
         _integer(step_count, "step count")
         if blue_presses < 0 or blue_presses > step_count:
             raise ValueError("blue press count must lie in [0, step_count]")
-        _set_blue_presses(self, blue_presses)
-        _set_step_count(self, step_count)
-
-
-_set_blue_presses, _set_step_count = _slot_setters(EnvState)
+        self._store(blue_presses, step_count)
 
 
 def env_step(
     state: EnvState, action: Arm, scheme: RewardScheme
 ) -> tuple[EnvState, RewardValue]:
     """One environment transition: red pays the unit, blue pays on powers of two."""
+    if not isinstance(action, Arm):
+        raise TypeError(f"action must be an Arm, got {action!r}")
+    if not isinstance(scheme, RewardScheme):
+        raise TypeError(f"scheme must be a RewardScheme, got {scheme!r}")
     if action is Arm.RED:
         return EnvState(state.blue_presses, state.step_count + 1), scheme.unit()
     presses = state.blue_presses + 1
@@ -204,10 +199,13 @@ def _bands(n: int, scheme: RewardScheme) -> Iterator[tuple[int, int, RewardValue
 
     Band j holds steps 2^j..min(2^(j+1) - 1, n). Its first press pays
     jackpot j, and from then on the blue total is num/den (in eps^-1 units
-    for the exact scheme). ``blue_last`` is the band's last step at which
-    the blue total beats ``step`` red units: every step for the exact
-    scheme, whose eps^-1 term outranks every rational, and otherwise those
-    with den * step < num, i.e. up to step (num - 1) // den.
+    for the exact scheme): after k presses, (floor(log2 k) + 1) eps^-1 for
+    ``laurent``, M (floor(log2 k) + 1) for ``approx:M`` and
+    M (2^(floor(log2 k) + 1) - 1) for ``dynamic:M``. ``blue_last`` is the
+    band's last step at which the blue total beats ``step`` red units:
+    every step for the exact scheme, whose eps^-1 term outranks every
+    rational, and otherwise those with den * step < num, i.e. up to step
+    (num - 1) // den.
     """
     laurent = scheme.kind == KIND_LAURENT
     total = _RATIONAL_ZERO
@@ -323,14 +321,7 @@ class RunConfig(_Frozen):
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0 <= _integer(seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        _set_scheme(self, scheme)
-        _set_mode(self, mode)
-        _set_steps(self, steps)
-        _set_epsilon(self, epsilon)
-        _set_seed(self, seed)
-
-
-_set_scheme, _set_mode, _set_steps, _set_epsilon, _set_seed = _slot_setters(RunConfig)
+        self._store(scheme, mode, steps, epsilon, seed)
 
 
 class PullRow(NamedTuple):
@@ -366,19 +357,7 @@ class EpsilonGreedyResult(_Frozen):
         final_greedy: Arm,
         trace: tuple[PullRow, ...],
     ) -> None:
-        _set_config(self, config)
-        _set_red_pulls(self, red_pulls)
-        _set_blue_pulls(self, blue_pulls)
-        _set_red_sum(self, red_sum)
-        _set_blue_sum(self, blue_sum)
-        _set_final_greedy(self, final_greedy)
-        _set_trace(self, trace)
-
-
-(
-    _set_config, _set_red_pulls, _set_blue_pulls, _set_red_sum, _set_blue_sum, _set_final_greedy,
-    _set_trace,
-) = _slot_setters(EpsilonGreedyResult)
+        self._store(config, red_pulls, blue_pulls, red_sum, blue_sum, final_greedy, trace)
 
 
 def _pulls(config: RunConfig) -> Iterator[tuple[int, Arm, RewardValue, int, int, int, Arm]]:
@@ -461,7 +440,9 @@ def reward_text(value: RewardValue) -> str:
     """Exact text for a reward value: series text or plain rational."""
     if isinstance(value, LaurentSeries):
         return format_series(value)
-    return str(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"reward must be a Fraction or a LaurentSeries, got {value!r}")
 
 
 def _ratio_text(numerator: int, denominator: int, suffix: str = "") -> str:

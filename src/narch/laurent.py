@@ -13,7 +13,9 @@ never corrupted by rounding. Inside the kernel each term is an integer row
 ``(exponent, numerator, denominator)`` kept in lowest terms by one
 ``math.gcd`` per result; :class:`fractions.Fraction` values appear only at
 the boundary, in ``terms`` and ``leading_coeff()``; one reader gives a
-value's first row, ``(PLUS_INFINITY, 0, 1)`` for zero. Values are
+value's first row, ``(PLUS_INFINITY, 0, 1)`` for zero. Products, parsed
+text, JSON and :func:`normalize` sum their coefficients in one
+accumulator, a sort by exponent and one pass over its runs. Values are
 immutable and functions pure; sharing across threads is safe.
 
 Division of series is deliberately absent: the inverse of a finite-support
@@ -129,22 +131,25 @@ class _Frozen:
     """Base of the package's immutable value classes.
 
     A subclass stores its state in ``__slots__`` and its ``__init__``
-    validates the arguments and stores them through the slots' own setters
-    (:func:`_slot_setters`), past the blocking ``__setattr__``. Its
-    ``__match_args__``, the public fields in constructor order, are the
-    slots, a parent's first, unless a class that stores a private form
-    names them itself; they give the ``Name(field=value, ...)`` repr and
-    copy and pickle through the validating constructor. Over the tuple of
-    slot values the base gives ``==``, only within one class, and the hash.
+    validates the arguments and ends in one :meth:`_store` call, which
+    stores them through the slots' own setters, past the blocking
+    ``__setattr__``. Its ``__match_args__``, the public fields in
+    constructor order, are the slots, a parent's first, unless a class
+    that stores a private form names them itself; they give the
+    ``Name(field=value, ...)`` repr and copy and pickle through the
+    validating constructor. Over the tuple of slot values the base gives
+    ``==``, only within one class, and the hash.
     """
 
     __slots__ = ()
     _storage: tuple = ()  # every slot, a parent's first
+    _setters: tuple = ()  # each slot's own setter, in _storage order
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__slots__", ())
         cls._storage = (*cls._storage, *own)
+        cls._setters = (*cls._setters, *[cls.__dict__[name].__set__ for name in own])
         if "__match_args__" not in cls.__dict__:
             cls.__match_args__ = (*getattr(cls, "__match_args__", ()), *own)
 
@@ -153,6 +158,11 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _store(self, *values) -> None:
+        """Store one value per slot of ``_storage``, in that order."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _stored(self) -> tuple:
         return tuple([getattr(self, name) for name in self._storage])
@@ -172,11 +182,6 @@ class _Frozen:
     def __reduce__(self):
         # the default slot restore would go through the blocking __setattr__
         return type(self), tuple([getattr(self, name) for name in self.__match_args__])
-
-
-def _slot_setters(cls: type) -> tuple:
-    """The setter of each of ``cls``'s own slots, in ``__slots__`` order."""
-    return tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
 
 @total_ordering
@@ -214,7 +219,7 @@ class LaurentSeries(_Frozen):
                 raise ValueError("exponents must be strictly ascending and unique")
             previous = exponent
             rows.append((exponent, coeff.numerator, coeff.denominator))
-        _set_rows(self, tuple(rows))
+        self._store(tuple(rows))
 
     @property
     def terms(self) -> tuple[TermPair, ...]:
@@ -278,7 +283,9 @@ class LaurentSeries(_Frozen):
         return f"LaurentSeries({format_series(self)!r})"
 
 
-(_set_rows,) = _slot_setters(LaurentSeries)
+# _raw is the kernel's per-operation constructor, so it calls the one setter
+# directly rather than through the base's _store loop.
+(_set_rows,) = LaurentSeries._setters
 
 
 def _raw(rows: tuple[tuple[int, int, int], ...]) -> LaurentSeries:

@@ -34,7 +34,6 @@ from .laurent import (
     _integer,
     _rational_parts,
     _reduced,
-    _slot_setters,
 )
 from .sig_order import SigThreshold, ThresholdLike, _threshold
 
@@ -83,18 +82,13 @@ class FiniteSigStructure(_Frozen):
                 raise ValueError(
                     f"relation pair {entry!r} references undeclared elements"
                 ) from None
-        _set_elements(self, elements)
-        _set_rows(self, tuple([tuple(sorted(row)) for row in rows]))
-        _set_nested(self, _nested_row_index(rows))
+        self._store(elements, tuple([tuple(sorted(row)) for row in rows]), _nested_row_index(rows))
 
     @property
     def relation(self) -> frozenset[tuple[str, str]]:
         """The (x1, x2) label pairs with x1 significantly less than x2."""
         elements = self.elements
         return frozenset([(x, elements[j]) for x, row in zip(elements, self._rows) for j in row])
-
-
-_set_elements, _set_rows, _set_nested = _slot_setters(FiniteSigStructure)
 
 
 def _nested_row_index(rows: list[set[int]]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -132,22 +126,21 @@ class MeasurementAssignment(_Frozen):
     threshold: SigThreshold
 
     def __init__(self, values: Mapping[str, RationalLike], threshold: ThresholdLike) -> None:
+        if not isinstance(values, Mapping):
+            raise TypeError(f"values must be a mapping of labels to rationals, got {values!r}")
         for label in values:
             if not isinstance(label, str):
                 raise ValueError(f"value label {label!r} is not a string")
-        # a kernel row's (numerator, denominator): laurent keeps the lowest-terms rule
-        _set_pairs(self, {k: _reduced(0, *_rational_parts(v))[1:] for k, v in values.items()})
-        _set_threshold(
-            self, threshold if isinstance(threshold, SigThreshold) else SigThreshold(threshold)
+        self._store(
+            # a kernel row's (numerator, denominator): laurent keeps the lowest-terms rule
+            {k: _reduced(0, *_rational_parts(v))[1:] for k, v in values.items()},
+            threshold if isinstance(threshold, SigThreshold) else SigThreshold(threshold),
         )
 
     @property
     def values(self) -> dict[str, Fraction]:
         """The label to Fraction map, rebuilt from the pairs on each read."""
         return {k: Fraction(p, q) for k, (p, q) in self._pairs.items()}
-
-
-_set_pairs, _set_threshold = _slot_setters(MeasurementAssignment)
 
 
 def is_accurate_measurement(
@@ -195,7 +188,8 @@ def is_accurate_measurement(
     cross-multiplies a value against ``(p*b + a*q) / (q*b)`` only when the
     two cells are equal, as they are at every exact gap of r. The cost is
     O(|R|) once per structure and O(n log n) integer work per check, not
-    n^2 Fraction tests.
+    n^2 Fraction tests, and memory stays O(n + |R|) whatever the values'
+    denominators.
     """
     pairs = assignment._pairs
     try:

@@ -32,7 +32,6 @@ from .laurent import (
     _Frozen,
     _integer,
     _leading_row,
-    _slot_setters,
     add,
     as_rational,
     monomial,
@@ -50,10 +49,7 @@ class SigThreshold(_Frozen):
 
     def __init__(self, r: RationalLike) -> None:
         # as_rational first: a SigThreshold is not a rational and raises TypeError
-        _set_r(self, _threshold(as_rational(r)))
-
-
-(_set_r,) = _slot_setters(SigThreshold)
+        self._store(_threshold(as_rational(r)))
 
 
 ThresholdLike = Union[SigThreshold, Fraction, int, str]
@@ -164,16 +160,12 @@ class AffineChain(_Frozen):
     step: LaurentSeries
 
     def __init__(self, base: LaurentSeries, step: LaurentSeries) -> None:
-        _set_base(self, _series(base, "chain base"))
-        _set_step(self, _series(step, "chain step"))
+        self._store(_series(base, "chain base"), _series(step, "chain step"))
 
     def element(self, i: int) -> LaurentSeries:
         if _integer(i, "chain index") < 0:
             raise ValueError("chain index must be non-negative")
         return add(self.base, scalar_mul(i, self.step))
-
-
-_set_base, _set_step = _slot_setters(AffineChain)
 
 
 class SigPrimeCertificate(_Frozen):
@@ -191,14 +183,11 @@ class SigPrimeCertificate(_Frozen):
     chain: AffineChain
 
     def __init__(self, lower: LaurentSeries, upper: LaurentSeries, chain: AffineChain) -> None:
-        _set_lower(self, _series(lower, "certificate lower"))
-        _set_upper(self, _series(upper, "certificate upper"))
+        lower = _series(lower, "certificate lower")
+        upper = _series(upper, "certificate upper")
         if not isinstance(chain, AffineChain):
             raise TypeError(f"certificate chain must be an AffineChain, got {chain!r}")
-        _set_chain(self, chain)
-
-
-_set_lower, _set_upper, _set_chain = _slot_setters(SigPrimeCertificate)
+        self._store(lower, upper, chain)
 
 
 class SigPrimeDecision(_Frozen):
@@ -226,18 +215,10 @@ class SigPrimeDecision(_Frozen):
         stabilization_index: int,
         failed_condition: Optional[str] = None,
     ) -> None:
-        _set_accepted(self, accepted)
-        _set_violation_index(self, violation_index)
-        _set_stabilization_index(self, stabilization_index)
-        _set_failed_condition(self, failed_condition)
+        self._store(accepted, violation_index, stabilization_index, failed_condition)
 
     def __bool__(self) -> bool:
         return self.accepted
-
-
-(
-    _set_accepted, _set_violation_index, _set_stabilization_index, _set_failed_condition
-) = _slot_setters(SigPrimeDecision)
 
 
 def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:

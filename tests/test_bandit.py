@@ -82,6 +82,17 @@ class TestEnvStep:
         with pytest.raises(ValueError):
             EnvState(blue_presses=2, step_count=1)
 
+    @pytest.mark.parametrize("action", ["red", "blue", None, 0], ids=repr)
+    def test_action_must_be_an_arm(self, action):
+        # a string is not Arm.RED, and used to press blue and pay the jackpot
+        with pytest.raises(TypeError, match="^action must be an Arm, got "):
+            env_step(EnvState(), action, LAURENT)
+
+    @pytest.mark.parametrize("scheme", ["laurent", None, Fraction(1000)], ids=repr)
+    def test_scheme_must_be_a_reward_scheme(self, scheme):
+        with pytest.raises(TypeError, match="^scheme must be a RewardScheme, got "):
+            env_step(EnvState(), Arm.RED, scheme)
+
     @pytest.mark.parametrize("counts, what", [
         ((1.5, 2), "blue press count"), ((True, 2), "blue press count"),
         (("1", 2), "blue press count"), ((1, 2.0), "step count"), ((-1, False), "step count"),
@@ -357,6 +368,11 @@ class TestRuntimeText:
     def test_reward_text(self):
         assert reward_text(Fraction(3, 2)) == "3/2"
         assert reward_text(monomial(1, -1)) == "1 eps^-1"
+
+    @pytest.mark.parametrize("value", [1.5, 1, True, "3/2", None], ids=repr)
+    def test_reward_text_rejects_other_values(self, value):
+        with pytest.raises(TypeError, match="^reward must be a Fraction or a LaurentSeries, got "):
+            reward_text(value)
 
     def test_exact_mean(self):
         assert exact_mean(Fraction(3), 2) == Fraction(3, 2)

@@ -230,6 +230,15 @@ class TestAssignment:
         with pytest.raises(ValueError):
             MeasurementAssignment(values={1: 0, "1": 5}, threshold=SigThreshold(1))
 
+    @pytest.mark.parametrize("values", ["ab", ["a", "b"], [("a", 0)], None], ids=repr)
+    def test_values_must_be_a_mapping(self, values):
+        with pytest.raises(TypeError, match="^values must be a mapping of labels to rationals"):
+            MeasurementAssignment(values=values, threshold=SigThreshold(1))
+
+    def test_values_may_be_any_mapping(self):
+        proxy = MeasurementAssignment(values=MappingProxyType({"a": 0}), threshold=1)
+        assert proxy == MeasurementAssignment(values={"a": 0}, threshold=1)
+
     def test_writing_to_values_changes_nothing(self):
         assignment = MeasurementAssignment(values={"a": 0, "b": 1}, threshold=SigThreshold(1))
         text = repr(assignment)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from narch.bandit import Arm, EnvState, EpsilonGreedyResult, PullRow, RewardScheme, RunConfig
-from narch.laurent import LaurentSeries, parse
+from narch.laurent import LaurentSeries, _Frozen, parse
 from narch.measurement import FiniteSigStructure, MeasurementAssignment
 from narch.sig_order import AffineChain, SigPrimeCertificate, SigPrimeDecision, SigThreshold
 
@@ -164,3 +164,29 @@ def test_positional_patterns_bind_public_fields():
         case MeasurementAssignment(values, threshold):
             pass
     assert (values, threshold) == ({"a": Fraction(1, 2)}, SigThreshold(1))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+LIBRARY_CLASSES = {
+    "LaurentSeries", "FiniteSigStructure", "MeasurementAssignment", "SigThreshold", "AffineChain",
+    "SigPrimeCertificate", "SigPrimeDecision", "RewardScheme", "EnvState", "RunConfig",
+    "EpsilonGreedyResult",
+}
+
+
+def test_every_value_class_stores_every_slot():
+    # _store zips the slots' setters with its values, so a call with too few
+    # values would leave the last slots unset instead of failing
+    library = {sub for sub in _subclasses(_Frozen) if sub.__module__.startswith("narch.")}
+    assert {cls.__name__ for cls in library} == LIBRARY_CLASSES
+    values = [cls(*args) for cls, args, _, _ in CASES]
+    values += [parse("1/2 eps^-1 + 3"), FiniteSigStructure(["a", "b"], [("a", "b")])]
+    assert {type(value) for value in values} == library
+    for value in values:
+        for name in type(value)._storage:
+            getattr(value, name)
