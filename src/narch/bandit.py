@@ -145,6 +145,8 @@ def env_step(
     state: EnvState, action: Arm, scheme: RewardScheme
 ) -> tuple[EnvState, RewardValue]:
     """One environment transition: red pays the unit, blue pays on powers of two."""
+    if not isinstance(state, EnvState):
+        raise TypeError(f"state must be an EnvState, got {state!r}")
     if not isinstance(action, Arm):
         raise TypeError(f"action must be an Arm, got {action!r}")
     if not isinstance(scheme, RewardScheme):
@@ -357,6 +359,16 @@ class EpsilonGreedyResult(_Frozen):
         final_greedy: Arm,
         trace: tuple[PullRow, ...],
     ) -> None:
+        if not isinstance(config, RunConfig):
+            raise TypeError(f"config must be a RunConfig, got {config!r}")
+        _integer(red_pulls, "red pull count")
+        _integer(blue_pulls, "blue pull count")
+        if red_pulls < 0 or blue_pulls < 0:
+            raise ValueError("pull counts must be non-negative")
+        if not isinstance(final_greedy, Arm):
+            raise TypeError(f"final greedy arm must be an Arm, got {final_greedy!r}")
+        if not isinstance(trace, tuple):
+            raise TypeError(f"trace must be a tuple of pull rows, got {trace!r}")
         self._store(config, red_pulls, blue_pulls, red_sum, blue_sum, final_greedy, trace)
 
 

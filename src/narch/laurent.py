@@ -133,12 +133,16 @@ class _Frozen:
     A subclass stores its state in ``__slots__`` and its ``__init__``
     validates the arguments and ends in one :meth:`_store` call, which
     stores them through the slots' own setters, past the blocking
-    ``__setattr__``. Its ``__match_args__``, the public fields in
-    constructor order, are the slots, a parent's first, unless a class
-    that stores a private form names them itself; they give the
-    ``Name(field=value, ...)`` repr and copy and pickle through the
-    validating constructor. Over the tuple of slot values the base gives
-    ``==``, only within one class, and the hash.
+    ``__setattr__``. Two direct paths skip ``__init__`` for values their
+    callers built valid: :func:`_raw` for a kernel operation's series and
+    ``sig_order._decision`` for a decision's verdict; both store through
+    the class's recorded ``_setters``, so there is one storing rule.
+
+    Its ``__match_args__``, the public fields in constructor order, are
+    the slots, a parent's first, unless a class that stores a private form
+    names them itself; they give the ``Name(field=value, ...)`` repr and
+    copy and pickle through the validating constructor. Over the tuple of
+    slot values the base gives ``==``, only within one class, and the hash.
     """
 
     __slots__ = ()

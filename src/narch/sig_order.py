@@ -190,6 +190,9 @@ class SigPrimeCertificate(_Frozen):
         self._store(lower, upper, chain)
 
 
+_CONDITIONS = ("climb", "ceiling")  # a rejected decision's failed_condition
+
+
 class SigPrimeDecision(_Frozen):
     """Outcome of :func:`decide_affine_sig_prime`.
 
@@ -215,10 +218,45 @@ class SigPrimeDecision(_Frozen):
         stabilization_index: int,
         failed_condition: Optional[str] = None,
     ) -> None:
+        if not isinstance(accepted, bool):
+            raise TypeError(f"accepted must be a bool, got {accepted!r}")
+        if violation_index is not None and _integer(violation_index, "violation index") < 0:
+            raise ValueError("violation index must be non-negative")
+        if _integer(stabilization_index, "stabilization index") < 0:
+            raise ValueError("stabilization index must be non-negative")
+        if failed_condition is not None:
+            if not isinstance(failed_condition, str):
+                raise TypeError(f"failed condition must be a string, got {failed_condition!r}")
+            if failed_condition not in _CONDITIONS:
+                raise ValueError(f"unknown failed condition {failed_condition!r}")
+        if accepted and (violation_index is not None or failed_condition is not None):
+            raise ValueError("an accepted decision has no violation index or failed condition")
         self._store(accepted, violation_index, stabilization_index, failed_condition)
 
     def __bool__(self) -> bool:
         return self.accepted
+
+
+# _decision is the decision's per-verdict constructor, as laurent._raw is the
+# kernel's per-operation one: it skips the public constructor's checks and
+# calls the recorded setters directly rather than through the base's _store
+# loop, so the setters stay the one storing rule.
+_set_accepted, _set_violation, _set_stabilization, _set_failed = SigPrimeDecision._setters
+
+
+def _decision(
+    accepted: bool,
+    violation_index: Optional[int],
+    stabilization_index: int,
+    failed_condition: Optional[str] = None,
+) -> SigPrimeDecision:
+    # decide_affine_sig_prime's verdicts satisfy the constructor's checks
+    decision = object.__new__(SigPrimeDecision)
+    _set_accepted(decision, accepted)
+    _set_violation(decision, violation_index)
+    _set_stabilization(decision, stabilization_index)
+    _set_failed(decision, failed_condition)
+    return decision
 
 
 def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:
@@ -233,15 +271,17 @@ def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:
     base, step = chain.base._rows, chain.step._rows
     rows, j, end = [], 0, len(step)
     for eb, nb, db in base:
-        while j < end and step[j][0] < eb:  # step's rows below eb come first
+        while j < end:  # each step row is unpacked once
             es, ns, ds = step[j]
-            rows.append((es, 0, ns, ds))
+            if es > eb:  # base alone at eb
+                rows.append((eb, nb, 0, db))
+                break
             j += 1
-        if j < end and step[j][0] == eb:
-            _, ns, ds = step[j]
-            rows.append((eb, nb * ds, ns * db, db * ds))
-            j += 1
-        else:
+            if es == eb:  # both at eb
+                rows.append((eb, nb * ds, ns * db, db * ds))
+                break
+            rows.append((es, 0, ns, ds))  # step alone, below eb
+        else:  # step is used up
             rows.append((eb, nb, 0, db))
     rows += [(e, 0, n, d) for e, n, d in step[j:]]
     return rows
@@ -295,8 +335,10 @@ def _breakpoints(
     """
     stabilization = 0
     for _, p, q, _ in rows:
-        if q and -p // q >= stabilization:
-            stabilization = -p // q + 1
+        if q:
+            root = -p // q
+            if root >= stabilization:
+                stabilization = root + 1
     if not rows or not rows[0][2]:
         return stabilization, [0]
     exponent, p, q, d = rows[0]
@@ -305,9 +347,12 @@ def _breakpoints(
     candidates = [0, root, root + 1] if root > 0 else [0, 1] if root == 0 else [0]
     order, un, ud = top
     if order == exponent:
-        crossing = ((un * gd - gn * ud) * d - p * ud * gd) // (q * ud * gd)
-        stabilization = max(stabilization, crossing + 1)
-        if crossing >= 0 and crossing + 1 not in candidates:
+        scale = ud * gd
+        crossing = ((un * gd - gn * ud) * d - p * scale) // (q * scale)
+        if crossing >= stabilization:
+            stabilization = crossing + 1
+        # crossing + 1 is a candidate already when it is root or root + 1
+        if crossing >= 0 and crossing != root and crossing + 1 != root:
             candidates.append(crossing + 1)
             candidates.sort()
     return stabilization, candidates
@@ -338,19 +383,20 @@ def decide_affine_sig_prime(
     Raises ValueError when the chain does not start at ``lower``.
     """
     gap = _threshold(r)
-    if cert.chain.base._rows != cert.lower._rows:
+    chain = cert.chain
+    if chain.base._rows != cert.lower._rows:
         raise ValueError("certificate chain must start at its lower element")
     gn, gd = gap.numerator, gap.denominator
-    rows = _affine_rows(cert.chain)
+    rows = _affine_rows(chain)
     top = _leading_row(cert.upper)
     stabilization, candidates = _breakpoints(rows, top, gn, gd)
     for i in candidates:
         current = _leading_at(rows, i)
         if not _sig_less(current, _leading_at(rows, i + 1), gn, gd):
-            return SigPrimeDecision(False, i, stabilization, "climb")
+            return _decision(False, i, stabilization, "climb")
         if not _sig_less(current, top, gn, gd):
-            return SigPrimeDecision(False, i, stabilization, "ceiling")
-    return SigPrimeDecision(True, None, stabilization)
+            return _decision(False, i, stabilization, "ceiling")
+    return _decision(True, None, stabilization)
 
 
 def _require_accepted(cert: SigPrimeCertificate, r: ThresholdLike) -> None:

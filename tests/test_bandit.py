@@ -82,6 +82,16 @@ class TestEnvStep:
         with pytest.raises(ValueError):
             EnvState(blue_presses=2, step_count=1)
 
+    @pytest.mark.parametrize("state", [(0, 0), None, "EnvState()"], ids=repr)
+    def test_state_must_be_an_env_state(self, state):
+        # a tuple used to fail with AttributeError on its blue_presses
+        with pytest.raises(TypeError, match="^state must be an EnvState, got "):
+            env_step(state, Arm.RED, LAURENT)
+
+    def test_state_is_checked_first(self):
+        with pytest.raises(TypeError, match="^state must be an EnvState, got "):
+            env_step((0, 0), "red", "laurent")
+
     @pytest.mark.parametrize("action", ["red", "blue", None, 0], ids=repr)
     def test_action_must_be_an_arm(self, action):
         # a string is not Arm.RED, and used to press blue and pay the jackpot

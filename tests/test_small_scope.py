@@ -1,0 +1,144 @@
+"""Every affine certificate of a small scope, decided and checked against a direct oracle.
+
+The oracle builds ``x_0 ... x_{N+1}`` with the kernel's ``add`` and
+``scalar_mul`` and writes the significant order out on ``order()`` and
+``leading_coeff()`` as ``Fraction``s; it imports nothing from
+``sig_order``, so a fault that the library and a shared helper have in
+common cannot hide. For each certificate the verdict, ``violation_index``
+and ``failed_condition`` must equal the first index up to N where a
+condition fails, and ``stabilization_index`` must be below N, so that the
+oracle's finite scan covers every index where the conditions can change.
+Both conditions must also keep their truth values from
+``stabilization_index`` to N, as the decision's argument says.
+
+Scope A (tier-1): base and step have coefficients in {-1, 0, 1, 2} at
+exponents -1, 0 and 1, upper has coefficients in {-1, 0, 1} there, r is
+1/2, 1 or 2 and N = 14. With ``HYPOTHESIS_PROFILE=ci`` the test runs
+scope B instead, which takes upper's coefficients from {-1, 0, 1, 3}.
+
+The test prints how many decisions took each path: accepted, or the
+failed condition with the candidate its index equals (0, floor(rho),
+floor(rho) + 1 or floor(tau) + 1, where rho is the root of the leading
+coefficient b + i * s and tau the index where it crosses lam - r).
+"""
+
+import os
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+
+from narch import (
+    AffineChain,
+    SigPrimeCertificate,
+    add,
+    decide_affine_sig_prime,
+    normalize,
+    scalar_mul,
+)
+
+EXPONENTS = (-1, 0, 1)
+CHAIN_COEFFICIENTS = (-1, 0, 1, 2)
+THRESHOLDS = (Fraction(1, 2), Fraction(1), Fraction(2))
+N = 14
+
+# the paths of the candidate argument that each scope takes
+PATHS = {"accepted", "climb at 0", "climb at floor(rho)+1",
+         "ceiling at 0", "ceiling at floor(rho)", "ceiling at floor(rho)+1"}
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":  # the deeper CI run of conftest's profile
+    UPPER_COEFFICIENTS = (-1, 0, 1, 3)  # scope B
+    PATHS |= {"ceiling at floor(tau)+1"}
+else:
+    UPPER_COEFFICIENTS = (-1, 0, 1)  # scope A
+
+
+def _series(coefficients):
+    return normalize(zip(EXPONENTS, coefficients))
+
+
+def _lead(x):
+    return x.order(), x.leading_coeff()
+
+
+def _below(a, b, r):
+    """a << b on (order, leading coefficient) pairs; the zero series has infinite order."""
+    (order_a, lead_a), (order_b, lead_b) = a, b
+    if order_a > order_b:
+        return lead_b > 0
+    if order_a < order_b:
+        return lead_a < 0
+    return lead_a <= lead_b - r
+
+
+def _oracle(climbs, ceilings):
+    """The first failure up to N, as (index, condition) or None, and the
+    index from which both conditions keep their truth values up to N."""
+    failure = next(
+        ((i, "climb" if not climb else "ceiling")
+         for i, (climb, ceiling) in enumerate(zip(climbs, ceilings))
+         if not (climb and ceiling)),
+        None,
+    )
+    frozen = N
+    while frozen and (climbs[frozen - 1], ceilings[frozen - 1]) == (climbs[N], ceilings[N]):
+        frozen -= 1
+    return failure, frozen
+
+
+def _path(base, step, upper, r, index):
+    """The first candidate that the violation index equals, named."""
+    if index == 0:
+        return "0"
+    base_terms, step_terms = dict(base.terms), dict(step.terms)
+    e0 = min(base_terms.keys() | step_terms.keys())  # the first row's exponent
+    b, s = base_terms.get(e0, 0), step_terms.get(e0, 0)
+    if not s:
+        return "other"  # every x_i leads with b at e0, and only 0 is a candidate
+    rho = -b // s
+    if index == rho:
+        return "floor(rho)"
+    if index == rho + 1:
+        return "floor(rho)+1"
+    if upper.order() == e0 and index == (upper.leading_coeff() - r - b) // s + 1:
+        return "floor(tau)+1"
+    return "other"
+
+
+def test_every_small_certificate_matches_the_oracle():
+    chain_series = [_series(c) for c in product(CHAIN_COEFFICIENTS, repeat=len(EXPONENTS))]
+    by_top = {}  # the oracle reads only upper's order and leading coefficient
+    for upper in map(_series, product(UPPER_COEFFICIENTS, repeat=len(EXPONENTS))):
+        by_top.setdefault(_lead(upper), []).append(upper)
+    paths, mismatches, decisions = Counter(), [], 0
+    for base, step in product(chain_series, repeat=2):
+        chain = AffineChain(base, step)
+        leads = [_lead(add(base, scalar_mul(i, step))) for i in range(N + 2)]
+        climbs = {
+            r: [_below(leads[i], leads[i + 1], r) for i in range(N + 1)] for r in THRESHOLDS
+        }
+        for top, uppers in by_top.items():
+            certs = [SigPrimeCertificate(base, upper, chain) for upper in uppers]
+            for r in THRESHOLDS:
+                ceilings = [_below(leads[i], top, r) for i in range(N + 1)]
+                expected, frozen = _oracle(climbs[r], ceilings)
+                for cert in certs:
+                    decision = decide_affine_sig_prime(cert, r)
+                    got = (decision.violation_index, decision.failed_condition)
+                    decisions += 1
+                    if decision.accepted != (expected is None) or (expected and got != expected):
+                        mismatches.append((cert, r, decision, expected))
+                    elif not frozen <= decision.stabilization_index < N:
+                        mismatches.append((cert, r, decision, f"constant from {frozen}"))
+                    elif expected is None:
+                        paths["accepted"] += 1
+                    else:
+                        index, condition = expected
+                        paths[f"{condition} at {_path(base, step, cert.upper, r, index)}"] += 1
+    print(f"{decisions} decisions, {len(mismatches)} mismatches")
+    for path, count in sorted(paths.items()):
+        print(f"  {path}: {count}")
+    assert decisions == len(chain_series) ** 2 * len(UPPER_COEFFICIENTS) ** 3 * len(THRESHOLDS)
+    assert mismatches[:5] == []
+    # the case argument of the candidates: every first failure is one of them
+    assert not [path for path in paths if path.endswith(" at other")]
+    # a scope that stopped reaching a path would stop checking it
+    assert PATHS <= paths.keys()

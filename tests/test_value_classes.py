@@ -14,7 +14,13 @@ import pytest
 from narch.bandit import Arm, EnvState, EpsilonGreedyResult, PullRow, RewardScheme, RunConfig
 from narch.laurent import LaurentSeries, _Frozen, parse
 from narch.measurement import FiniteSigStructure, MeasurementAssignment
-from narch.sig_order import AffineChain, SigPrimeCertificate, SigPrimeDecision, SigThreshold
+from narch.sig_order import (
+    AffineChain,
+    SigPrimeCertificate,
+    SigPrimeDecision,
+    SigThreshold,
+    decide_affine_sig_prime,
+)
 
 _CONFIG = RunConfig(RewardScheme.static_approx("7/2"), "egreedy", 3, "1/2", 7)
 _ROW = PullRow(1, Arm.RED, Fraction(1), Fraction(1), None, Arm.RED)
@@ -190,3 +196,100 @@ def test_every_value_class_stores_every_slot():
     for value in values:
         for name in type(value)._storage:
             getattr(value, name)
+
+
+# (positional arguments, exception type, message pattern)
+BAD_DECISIONS = [
+    (("yes", None, 0), TypeError, "^accepted must be a bool, got 'yes'$"),
+    ((1, None, 0), TypeError, "^accepted must be a bool, got 1$"),
+    ((False, "x", 0, "climb"), TypeError, "^violation index must be an integer, got 'x'$"),
+    ((False, True, 0, "climb"), TypeError, "^violation index must be an integer, got True$"),
+    ((False, 2.0, 3, "climb"), TypeError, "^violation index must be an integer, got 2.0$"),
+    ((False, -1, 0, "climb"), ValueError, "^violation index must be non-negative$"),
+    ((True, None, -3.5), TypeError, "^stabilization index must be an integer, got -3.5$"),
+    ((True, None, None), TypeError, "^stabilization index must be an integer, got None$"),
+    ((True, None, False), TypeError, "^stabilization index must be an integer, got False$"),
+    ((True, None, -1), ValueError, "^stabilization index must be non-negative$"),
+    ((False, 3, 5, 42), TypeError, "^failed condition must be a string, got 42$"),
+    ((False, 3, 5, "floor"), ValueError, "^unknown failed condition 'floor'$"),
+    ((False, 3, 5, "Climb"), ValueError, "^unknown failed condition 'Climb'$"),
+    ((True, 0, 5), ValueError, "^an accepted decision has no violation index or failed"),
+    ((True, None, 5, "ceiling"), ValueError, "^an accepted decision has no violation index or"),
+]
+
+
+@pytest.mark.parametrize("args, error, message", BAD_DECISIONS, ids=repr)
+def test_decision_checks_its_fields(args, error, message):
+    with pytest.raises(error, match=message):
+        SigPrimeDecision(*args)
+
+
+def test_decision_reports_the_first_bad_field():
+    # the fields are checked in constructor order
+    with pytest.raises(TypeError, match="^accepted must be a bool"):
+        SigPrimeDecision("yes", "x", -3.5, 42)
+    with pytest.raises(TypeError, match="^violation index must be an integer"):
+        SigPrimeDecision(False, "x", -3.5, 42)
+    with pytest.raises(TypeError, match="^stabilization index must be an integer"):
+        SigPrimeDecision(False, 0, -3.5, 42)
+
+
+@pytest.mark.parametrize("args", [
+    (True, None, 0), (True, None, 10**30), (False, 0, 0, "climb"), (False, 7, 3, "ceiling"),
+], ids=repr)
+def test_decision_accepts_well_formed_fields(args):
+    assert SigPrimeDecision(*args).accepted is args[0]
+
+
+_RESULT = (_CONFIG, 1, 0, Fraction(1), Fraction(0), Arm.RED, (_ROW,))
+
+
+@pytest.mark.parametrize("position, value, error, message", [
+    (0, "x", TypeError, "^config must be a RunConfig, got 'x'$"),
+    (0, RewardScheme.exact_laurent(), TypeError, "^config must be a RunConfig, got "),
+    (1, 1.5, TypeError, "^red pull count must be an integer, got 1.5$"),
+    (1, True, TypeError, "^red pull count must be an integer, got True$"),
+    (2, None, TypeError, "^blue pull count must be an integer, got None$"),
+    (2, "0", TypeError, "^blue pull count must be an integer, got '0'$"),
+    (1, -1, ValueError, "^pull counts must be non-negative$"),
+    (2, -1, ValueError, "^pull counts must be non-negative$"),
+    (5, "red", TypeError, "^final greedy arm must be an Arm, got 'red'$"),
+    (5, None, TypeError, "^final greedy arm must be an Arm, got None$"),
+    (6, [_ROW], TypeError, "^trace must be a tuple of pull rows, got "),
+    (6, None, TypeError, "^trace must be a tuple of pull rows, got None$"),
+], ids=repr)
+def test_run_result_checks_its_fields(position, value, error, message):
+    args = list(_RESULT)
+    args[position] = value
+    with pytest.raises(error, match=message):
+        EpsilonGreedyResult(*args)
+
+
+def test_run_result_reports_the_first_bad_field():
+    with pytest.raises(TypeError, match="^config must be a RunConfig, got 'x'$"):
+        EpsilonGreedyResult("x", 1.5, None, 2.5, "y", "z", [])
+
+
+# (base, step, upper, r, the decision's fields); each rejection's index and
+# stabilization index differ, so storing them in swapped slots shows
+DIRECT_CASES = [
+    ("1 eps^1", "1/2", "1 eps^-1", "1/2", (True, None, 1, None)),
+    ("0", "1/2", "2", "1", (False, 1, 3, "climb")),
+    ("1 eps^1", "1 - 1 eps^1", "1", "1/2", (False, 1, 2, "ceiling")),
+]
+
+
+@pytest.mark.parametrize(
+    "base, step, upper, r, fields", DIRECT_CASES, ids=["accepted", "climb", "ceiling"]
+)
+def test_decisions_match_the_validating_constructor(base, step, upper, r, fields):
+    # decide_affine_sig_prime builds its verdict past __init__, through the setters
+    chain = AffineChain(parse(base), parse(step))
+    decision = decide_affine_sig_prime(SigPrimeCertificate(chain.base, parse(upper), chain), r)
+    built = SigPrimeDecision(*fields)
+    assert type(decision) is SigPrimeDecision
+    assert tuple(getattr(decision, name) for name in SigPrimeDecision._storage) == fields
+    assert decision == built and hash(decision) == hash(built)
+    assert repr(decision) == repr(built) and bool(decision) is bool(built) is fields[0]
+    clone = pickle.loads(pickle.dumps(decision))
+    assert clone == built and repr(clone) == repr(built)
