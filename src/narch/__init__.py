@@ -7,7 +7,10 @@ delayed-gratification bandit environment with pluggable reward codomains.
 
 ``import narch`` loads no layer. The first use of an exported name imports
 the module that defines it and binds all of that module's exports here
-(PEP 562), so later uses are plain global lookups.
+(PEP 562), so later uses are plain global lookups; ``dir(narch)`` and
+``__all__`` list every export before any is loaded. The CLI loads the
+kernel at start and each other layer only in the subcommands that use it,
+and no subcommand loads ``dataclasses`` or ``inspect``.
 """
 
 import importlib

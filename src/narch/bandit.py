@@ -365,10 +365,16 @@ class EpsilonGreedyResult(_Frozen):
         _integer(blue_pulls, "blue pull count")
         if red_pulls < 0 or blue_pulls < 0:
             raise ValueError("pull counts must be non-negative")
+        for arm, total in (("red", red_sum), ("blue", blue_sum)):
+            if not isinstance(total, (Fraction, LaurentSeries)):
+                raise TypeError(f"{arm} sum must be a Fraction or a LaurentSeries, got {total!r}")
         if not isinstance(final_greedy, Arm):
             raise TypeError(f"final greedy arm must be an Arm, got {final_greedy!r}")
         if not isinstance(trace, tuple):
             raise TypeError(f"trace must be a tuple of pull rows, got {trace!r}")
+        for row in trace:
+            if not isinstance(row, PullRow):
+                raise TypeError(f"trace row must be a PullRow, got {row!r}")
         self._store(config, red_pulls, blue_pulls, red_sum, blue_sum, final_greedy, trace)
 
 

@@ -14,8 +14,8 @@ never corrupted by rounding. Inside the kernel each term is an integer row
 ``math.gcd`` per result; :class:`fractions.Fraction` values appear only at
 the boundary, in ``terms`` and ``leading_coeff()``; one reader gives a
 value's first row, ``(PLUS_INFINITY, 0, 1)`` for zero. Products, parsed
-text, JSON and :func:`normalize` sum their coefficients in one
-accumulator, a sort by exponent and one pass over its runs. Values are
+text, JSON, :func:`normalize` and :func:`add` sum their coefficients in
+one accumulator, a sort by exponent and one pass over its runs. Values are
 immutable and functions pure; sharing across threads is safe.
 
 Division of series is deliberately absent: the inverse of a finite-support
@@ -37,10 +37,10 @@ TermPair = Tuple[int, Fraction]
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # rational := ["-"] digits ["/" digits]
 _BLANK_CHARS = " \t\n\r\v\f"  # ASCII whitespace only
 _BLANKS = f"[{_BLANK_CHARS}]*"
-# One series term with the blanks around it. The digit runs may be empty,
-# so that parse reports a missing run at its own offset.
+# One series term with the blanks around it and the connective after it. The
+# digit runs may be empty, so that parse reports a missing run at its own offset.
 _TERM = re.compile(
-    rf"{_BLANKS}(-?)([0-9]*)(?:/([0-9]*))?(?:{_BLANKS}(eps)(?:\^(-?)([0-9]*))?)?{_BLANKS}"
+    rf"{_BLANKS}(-?)([0-9]*)(?:/([0-9]*))?(?:{_BLANKS}(eps)(?:\^(-?)([0-9]*))?)?{_BLANKS}([+-]?)"
 )
 
 
@@ -131,18 +131,23 @@ class _Frozen:
     """Base of the package's immutable value classes.
 
     A subclass stores its state in ``__slots__`` and its ``__init__``
-    validates the arguments and ends in one :meth:`_store` call, which
-    stores them through the slots' own setters, past the blocking
-    ``__setattr__``. Two direct paths skip ``__init__`` for values their
-    callers built valid: :func:`_raw` for a kernel operation's series and
-    ``sig_order._decision`` for a decision's verdict; both store through
-    the class's recorded ``_setters``, so there is one storing rule.
+    validates the arguments, raising TypeError for a field of the wrong
+    type, and ends in one :meth:`_store` call, which stores them through
+    the slots' own setters, past the blocking ``__setattr__``: assigning or
+    deleting a field raises AttributeError. Two direct paths skip
+    ``__init__`` for values their callers built valid: :func:`_raw` for a
+    kernel operation's series and ``sig_order._decision`` for a decision's
+    verdict; both store through the class's recorded ``_setters``, so
+    there is one storing rule.
 
     Its ``__match_args__``, the public fields in constructor order, are
     the slots, a parent's first, unless a class that stores a private form
     names them itself; they give the ``Name(field=value, ...)`` repr and
     copy and pickle through the validating constructor. Over the tuple of
     slot values the base gives ``==``, only within one class, and the hash.
+    The classes are not dataclasses, so ``dataclasses.replace`` and its kin
+    do not apply: build a changed value through the constructor. Nothing
+    imports ``dataclasses``, which alone pulls in ``inspect`` and ``ast``.
     """
 
     __slots__ = ()
@@ -320,10 +325,10 @@ _exponent_of = itemgetter(0)
 
 
 def _collect(triples: Iterable[tuple[int, int, int]]) -> LaurentSeries:
-    # The one coefficient accumulator of constructors and products, over checked
-    # (exponent, numerator, denominator > 0) integers. A stable sort by exponent
-    # alone lines up equal exponents without comparing a coefficient; one pass
-    # then sums each run as an integer pair and reduces each nonzero sum to its row.
+    # The one coefficient accumulator of constructors, sums and products, over
+    # checked (exponent, numerator, denominator > 0) integers. A stable sort by
+    # exponent alone lines up equal exponents without comparing a coefficient; one
+    # pass then sums each run as an integer pair and reduces each nonzero sum to its row.
     rows, exponent, n, d = [], None, 0, 1
     for e, num, den in sorted(triples, key=_exponent_of):
         if e != exponent:
@@ -363,21 +368,8 @@ def embed_rational(value: RationalLike) -> LaurentSeries:
 
 
 def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Merge of the two ascending row tuples; coefficients meet only at shared exponents."""
-    ra, rb = a._rows, b._rows
-    rows, i, j = [], 0, 0
-    while i < len(ra) and j < len(rb):
-        ea, na, da = ra[i]
-        eb, nb, db = rb[j]
-        if ea != eb:
-            rows.append(ra[i] if ea < eb else rb[j])
-        else:
-            n, d = (na + nb, da) if da == db else (na * db + nb * da, da * db)
-            if n:
-                rows.append(_reduced(ea, n, d))
-        i += ea <= eb  # past the lower exponent, or past both where they meet
-        j += eb <= ea
-    return _raw((*rows, *ra[i:], *rb[j:]))
+    """Sum of the two row tuples through the one accumulator."""
+    return _collect((*a._rows, *b._rows))
 
 
 def neg(a: LaurentSeries) -> LaurentSeries:
@@ -462,16 +454,17 @@ def parse(text: str) -> LaurentSeries:
     ``term := rational ["eps^" integer]``,
     ``rational := ["-"] digits ["/" digits]``, where digits are ASCII
     ``0``-``9``; blanks between tokens are the ASCII whitespace
-    characters only; an omitted exponent means ``eps^0``. Each term is
-    one match of ``_TERM``. A :class:`SeriesParseError` points at the
-    first character of a missing digit run, at the first digit of a zero
-    denominator, just after an ``eps`` without ``^``, or at a character
-    that is not a connective.
+    characters only; an omitted exponent means ``eps^0``. Each term,
+    with the connective after it, is one match of ``_TERM``, so parsing
+    takes time linear in the text's length. A :class:`SeriesParseError`
+    points at the first character of a missing digit run, at the first
+    digit of a zero denominator, just after an ``eps`` without ``^``, or at
+    a character that is not a connective.
     """
     triples, pos, end, sign = [], 0, len(text), ""
     while True:
         term = _TERM.match(text, pos)  # every part is optional: the match never fails
-        minus, num, den, eps, exp_minus, exp = term.groups()
+        minus, num, den, eps, exp_minus, exp, connective = term.groups()
         if not num:
             raise SeriesParseError("expected digits", term.start(2))
         if den == "":
@@ -490,13 +483,11 @@ def parse(text: str) -> LaurentSeries:
         # a leading "-" and a "-" connective cancel
         triples.append((exponent, int(num) if minus == sign else -int(num), den))
         pos = term.end()
-        if pos == end:
-            return _collect(triples)
-        connective = text[pos]
-        if connective not in "+-":
-            raise SeriesParseError(f"expected '+' or '-', found {connective!r}", pos)
+        if not connective:
+            if pos == end:
+                return _collect(triples)
+            raise SeriesParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
         sign = "" if connective == "+" else "-"
-        pos += 1
 
 
 def format_series(a: LaurentSeries) -> str:

@@ -231,6 +231,8 @@ class SigPrimeDecision(_Frozen):
                 raise ValueError(f"unknown failed condition {failed_condition!r}")
         if accepted and (violation_index is not None or failed_condition is not None):
             raise ValueError("an accepted decision has no violation index or failed condition")
+        if not accepted and (violation_index is None or failed_condition is None):
+            raise ValueError("a rejected decision names its violation index and failed condition")
         self._store(accepted, violation_index, stabilization_index, failed_condition)
 
     def __bool__(self) -> bool:

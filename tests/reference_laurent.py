@@ -4,10 +4,10 @@ for ``compare``, a character-by-character ``parse``, ``Fraction``-valued
 ``scalar_mul`` and ``series_from_json``, and ``format_series`` through
 ``Fraction.__str__``.
 
-The library now sums products and constructors in one accumulator over
-integer parts, adds by a merge, scales and formats from integer parts,
+The library now sums products, additions and constructors in one
+accumulator over integer parts, scales and formats from integer parts,
 decides ``compare`` with the ``compare_scaled`` walk, and reads each series
-term as one match of a compiled pattern. The differential tests in
+term, with the connective after it, as one match of a compiled pattern. The differential tests in
 ``test_laurent.py`` check each pair against each other; for ``parse`` they
 compare the series, or the error message and its position. Every function
 here builds its result through this module's own ``normalize`` and

@@ -1,4 +1,4 @@
-"""Every affine certificate of a small scope, decided and checked against a direct oracle.
+"""Every affine certificate and every series pair of a small scope, checked against oracles.
 
 The oracle builds ``x_0 ... x_{N+1}`` with the kernel's ``add`` and
 ``scalar_mul`` and writes the significant order out on ``order()`` and
@@ -20,6 +20,15 @@ The test prints how many decisions took each path: accepted, or the
 failed condition with the candidate its index equals (0, floor(rho),
 floor(rho) + 1 or floor(tau) + 1, where rho is the root of the leading
 coefficient b + i * s and tau the index where it crosses lam - r).
+
+The kernel test takes every series over the same exponents with
+coefficients in {-1, -1/2, 0, 1/2, 1, 2} (216 series), or with
+``HYPOTHESIS_PROFILE=ci`` in {-2, -1, -1/2, 0, 1/3, 1/2, 1, 3} (512). On
+every ordered pair it checks ``compare``, ``add``, ``sub`` and ``mul``
+against ``reference_laurent``, and on every series the text of
+``format_series`` and that ``parse`` reads it back. It prints how many
+pairs compared LESS, EQUAL and GREATER and how many sums cancel at some
+exponent.
 """
 
 import os
@@ -29,12 +38,20 @@ from itertools import product
 
 from narch import (
     AffineChain,
+    SeriesParseError,
     SigPrimeCertificate,
     add,
+    compare,
     decide_affine_sig_prime,
+    format_series,
+    mul,
     normalize,
+    parse,
     scalar_mul,
+    sub,
 )
+
+from . import reference_laurent as reference
 
 EXPONENTS = (-1, 0, 1)
 CHAIN_COEFFICIENTS = (-1, 0, 1, 2)
@@ -44,11 +61,14 @@ N = 14
 # the paths of the candidate argument that each scope takes
 PATHS = {"accepted", "climb at 0", "climb at floor(rho)+1",
          "ceiling at 0", "ceiling at floor(rho)", "ceiling at floor(rho)+1"}
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 if os.environ.get("HYPOTHESIS_PROFILE") == "ci":  # the deeper CI run of conftest's profile
     UPPER_COEFFICIENTS = (-1, 0, 1, 3)  # scope B
     PATHS |= {"ceiling at floor(tau)+1"}
+    SERIES_COEFFICIENTS = (-2, -1, -_HALF, 0, _THIRD, _HALF, 1, 3)  # 512 series
 else:
     UPPER_COEFFICIENTS = (-1, 0, 1)  # scope A
+    SERIES_COEFFICIENTS = (-1, -_HALF, 0, _HALF, 1, 2)  # 216 series
 
 
 def _series(coefficients):
@@ -142,3 +162,39 @@ def test_every_small_certificate_matches_the_oracle():
     assert not [path for path in paths if path.endswith(" at other")]
     # a scope that stopped reaching a path would stop checking it
     assert PATHS <= paths.keys()
+
+
+def test_every_small_series_pair_matches_the_reference():
+    rows = list(product(SERIES_COEFFICIENTS, repeat=len(EXPONENTS)))
+    # inputs come from the reference, so a fault in the library's normalize
+    # shows as a mismatch here and cannot corrupt the pairs
+    values = [reference.normalize(zip(EXPONENTS, row)) for row in rows]
+    negatives = [reference.normalize(zip(EXPONENTS, [-c for c in row])) for row in rows]
+    mismatches = [row for row, x in zip(rows, values) if _series(row) != x]
+    for x in values:
+        text = format_series(x)
+        try:
+            back = parse(text)
+        except SeriesParseError as error:
+            back = error
+        if text != reference.format_series(x) or back != x:
+            mismatches.append((x, text, back))
+    supports = [{e for e, _ in x.terms} for x in values]
+    orderings, cancelling = Counter(), 0
+    for x, x_support in zip(values, supports):
+        for y, minus_y, y_support in zip(values, negatives, supports):
+            ordering, total = compare(x, y), add(x, y)
+            if (
+                ordering is not reference.compare(x, y)
+                or total != reference.add(x, y)
+                or sub(x, y) != reference.add(x, minus_y)
+                or mul(x, y) != reference.mul(x, y)
+            ):
+                mismatches.append((x, y))
+            orderings[ordering.name] += 1
+            cancelling += len(total.terms) < len(x_support | y_support)
+    print(f"{len(values)} series, {len(values) ** 2} pairs, {len(mismatches)} mismatches")
+    print(f"  {dict(sorted(orderings.items()))}, {cancelling} sums cancel at some exponent")
+    assert mismatches[:5] == []
+    # a scope without one of these would stop checking that branch
+    assert orderings.keys() == {"LESS", "EQUAL", "GREATER"} and cancelling

@@ -215,6 +215,9 @@ BAD_DECISIONS = [
     ((False, 3, 5, "Climb"), ValueError, "^unknown failed condition 'Climb'$"),
     ((True, 0, 5), ValueError, "^an accepted decision has no violation index or failed"),
     ((True, None, 5, "ceiling"), ValueError, "^an accepted decision has no violation index or"),
+    ((False, None, 0), ValueError, "^a rejected decision names its violation index and failed"),
+    ((False, 3, 5), ValueError, "^a rejected decision names its violation index and failed"),
+    ((False, None, 5, "climb"), ValueError, "^a rejected decision names its violation index and"),
 ]
 
 
@@ -253,10 +256,16 @@ _RESULT = (_CONFIG, 1, 0, Fraction(1), Fraction(0), Arm.RED, (_ROW,))
     (2, "0", TypeError, "^blue pull count must be an integer, got '0'$"),
     (1, -1, ValueError, "^pull counts must be non-negative$"),
     (2, -1, ValueError, "^pull counts must be non-negative$"),
+    (3, 1, TypeError, "^red sum must be a Fraction or a LaurentSeries, got 1$"),
+    (3, 1.0, TypeError, "^red sum must be a Fraction or a LaurentSeries, got 1.0$"),
+    (4, "x", TypeError, "^blue sum must be a Fraction or a LaurentSeries, got 'x'$"),
+    (4, None, TypeError, "^blue sum must be a Fraction or a LaurentSeries, got None$"),
     (5, "red", TypeError, "^final greedy arm must be an Arm, got 'red'$"),
     (5, None, TypeError, "^final greedy arm must be an Arm, got None$"),
     (6, [_ROW], TypeError, "^trace must be a tuple of pull rows, got "),
     (6, None, TypeError, "^trace must be a tuple of pull rows, got None$"),
+    (6, ("y",), TypeError, "^trace row must be a PullRow, got 'y'$"),
+    (6, (_ROW, (1, Arm.RED)), TypeError, r"^trace row must be a PullRow, got \(1, <Arm.RED"),
 ], ids=repr)
 def test_run_result_checks_its_fields(position, value, error, message):
     args = list(_RESULT)
