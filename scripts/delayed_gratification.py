@@ -3,8 +3,11 @@
 
 Prints, for each scheme, when (if ever) the blue arm's exact sample mean
 falls below the red arm's in a paired scripted run. Static approximations
-flip at their crossover step; exact Laurent rewards and the doubling
-approximation never flip.
+flip at their crossover step, confirmed from the two scripted rows around
+it where it lies within ``--rounds`` (a failed check exits 1); exact
+Laurent rewards and the doubling approximation never flip. ``--rounds`` is
+a positive count in ASCII digits: ``-5``, ``0`` or ``1_0`` exits 2 with one
+stderr line and no output.
 """
 
 import argparse

@@ -4,7 +4,9 @@
 The minimum feasible top value of an accurate measurement grows linearly
 with the chain length, while any bounded monotone measurement of the same
 chain plateaus: past some index, consecutive values are closer than any
-fixed tolerance.
+fixed tolerance. ``--r`` and ``--tol`` are lone rationals, read as the CLI
+reads them: a value that is not one, or is not positive, exits 2 with one
+stderr line and no output.
 """
 
 import argparse

@@ -283,8 +283,8 @@ def crossover_step(m: RationalLike, *, bound: int = 2**32) -> Optional[int]:
 
     This is where a static approximation M makes the blue sample mean drop
     below the red one: after n presses the blue arm has paid exactly
-    floor(log2 n) + 1 jackpots of M against n red units. It is
-    :func:`first_flip` of the static scheme.
+    floor(log2 n) + 1 jackpots of M against n red units; for M = 1,000,000
+    that is press 25,000,001. It is :func:`first_flip` of the static scheme.
     """
     return first_flip(RewardScheme.static_approx(m), bound)
 
@@ -323,6 +323,8 @@ class RunConfig(_Frozen):
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0 <= _integer(seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        if mode == MODE_SCRIPTED and (epsilon or seed):  # refused, not dropped unread
+            raise ValueError("a scripted run reads no epsilon or seed; give 0 or leave them out")
         self._store(scheme, mode, steps, epsilon, seed)
 
 
@@ -526,7 +528,8 @@ def write_trace(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
     quote or a newline. Scripted rows come from the bands of
     :func:`_bands`, each blue or red run joined in chunks of at most 4,096
     rows; epsilon-greedy rows from :func:`_pulls`, one line per pull.
-    Returns the flip step (or None) and the final preference.
+    Returns the flip step (None if none; under epsilon-greedy the first move
+    of the preference from blue to red, a tie included) and the final preference.
     """
     scheme = config.scheme
     out.write(_TRACE_HEADER)

@@ -37,10 +37,9 @@ TermPair = Tuple[int, Fraction]
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # rational := ["-"] digits ["/" digits]
 _BLANK_CHARS = " \t\n\r\v\f"  # ASCII whitespace only
 _BLANKS = f"[{_BLANK_CHARS}]*"
-# One series term with the blanks around it and the connective after it. The
-# digit runs may be empty, so that parse reports a missing run at its own offset.
+# One term, its blanks and its connective; a digit run may be missing, for parse to report.
 _TERM = re.compile(
-    rf"{_BLANKS}(-?)([0-9]*)(?:/([0-9]*))?(?:{_BLANKS}(eps)(?:\^(-?)([0-9]*))?)?{_BLANKS}([+-]?)"
+    rf"{_BLANKS}(-?[0-9]*)(?:/([0-9]*))?(?:{_BLANKS}(eps)(?:\^(-?[0-9]*))?)?{_BLANKS}([+-]?)"
 )
 
 
@@ -461,39 +460,35 @@ def parse(text: str) -> LaurentSeries:
     digit of a zero denominator, just after an ``eps`` without ``^``, or at
     a character that is not a connective.
     """
-    triples, pos, end, sign = [], 0, len(text), ""
+    triples, pos, end, negate = [], 0, len(text), False
     while True:
         term = _TERM.match(text, pos)  # every part is optional: the match never fails
-        minus, num, den, eps, exp_minus, exp, connective = term.groups()
-        if not num:
-            raise SeriesParseError("expected digits", term.start(2))
+        num, den, eps, exp, connective = term.groups()
+        if num in ("", "-"):
+            raise SeriesParseError("expected digits", term.end(1))
         if den == "":
-            raise SeriesParseError("expected denominator digits", term.start(3))
+            raise SeriesParseError("expected denominator digits", term.start(2))
         den = int(den or 1)
         if not den:
-            raise SeriesParseError("denominator must be nonzero", term.start(3))
-        if not eps:
-            exponent = 0
-        elif exp is None:
-            raise SeriesParseError("expected '^' after 'eps'", term.end(4))
-        elif not exp:
-            raise SeriesParseError("expected exponent digits", term.start(6))
-        else:
-            exponent = -int(exp) if exp_minus else int(exp)
-        # a leading "-" and a "-" connective cancel
-        triples.append((exponent, int(num) if minus == sign else -int(num), den))
+            raise SeriesParseError("denominator must be nonzero", term.start(2))
+        if eps and exp is None:
+            raise SeriesParseError("expected '^' after 'eps'", term.end(3))
+        if exp in ("", "-"):
+            raise SeriesParseError("expected exponent digits", term.end(4))
+        triples.append((int(exp or 0), -int(num) if negate else int(num), den))
         pos = term.end()
         if not connective:
             if pos == end:
                 return _collect(triples)
             raise SeriesParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
-        sign = "" if connective == "+" else "-"
+        negate = connective == "-"
 
 
 def format_series(a: LaurentSeries) -> str:
     """Canonical text form, ascending exponents; inverse of :func:`parse`.
 
-    Rows are in lowest terms, so each is printed as it stands.
+    Rows are in lowest terms and print as they stand, up to the interpreter's
+    int-to-str limit: a numerator or denominator past 4,300 digits (the default) raises ValueError.
     """
     parts = []
     for exponent, num, den in a._rows:

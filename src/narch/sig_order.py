@@ -95,6 +95,7 @@ def sig_less_laurent(a: LaurentSeries, b: LaurentSeries, r: ThresholdLike) -> bo
     positive; a has lower order and a's leading coefficient is negative;
     or both have the same order and the leading coefficients are at least
     r apart. The zero series has infinite order and leading coefficient 0.
+    Here and in the prefix checks a non-series raises TypeError naming it.
     """
     gap = _threshold(r)
     a, b = _series(a, "left operand"), _series(b, "right operand")
@@ -114,7 +115,7 @@ def _climbs(leads: list[tuple], gn: int, gd: int) -> bool:
 
 
 def verify_chain_prefix(seq: Iterable[LaurentSeries], r: ThresholdLike) -> bool:
-    """True when every consecutive pair of the prefix climbs significantly."""
+    """True when every consecutive pair climbs significantly; an iterator is read once."""
     leads = _prefix_rows(seq)
     gap = _threshold(r)
     return _climbs(leads, gap.numerator, gap.denominator)
@@ -140,7 +141,7 @@ def laurent_nonarch_witness(
 def verify_nonarch_prefix(
     chain: Iterable[LaurentSeries], y: LaurentSeries, r: ThresholdLike
 ) -> bool:
-    """Check a trapped-chain prefix: climbing, below y, and y never overtaken."""
+    """Check a trapped-chain prefix, read once: climbing, below y, and y never overtaken."""
     gap = _threshold(r)
     gn, gd = gap.numerator, gap.denominator
     leads = _prefix_rows(chain)

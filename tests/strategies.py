@@ -1,6 +1,7 @@
 """Shared hypothesis strategies for exact values."""
 
 from fractions import Fraction
+from math import ceil, floor
 
 from hypothesis import strategies as st
 
@@ -13,6 +14,19 @@ def rationals(min_value=-10, max_value=10, max_denominator=12):
         max_value=Fraction(max_value),
         max_denominator=max_denominator,
     )
+
+
+def fraction_grid(min_value, max_value, max_denominator):
+    """The support of ``st.fractions`` with these arguments, ascending.
+
+    ``st.sampled_from`` over it draws the same values many times faster.
+    """
+    low, high = Fraction(min_value), Fraction(max_value)
+    return sorted({
+        Fraction(p, q)
+        for q in range(1, max_denominator + 1)
+        for p in range(ceil(low * q), floor(high * q) + 1)
+    })
 
 
 def thresholds():

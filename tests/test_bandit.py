@@ -362,6 +362,21 @@ class TestEpsilonGreedy:
             previous = pull
         assert (explored == 298) if epsilon == 1 else (0 < explored < 298)
 
+    @pytest.mark.parametrize("epsilon, seed", [(Fraction(1, 2), 0), (0, 9), (1, 2**64 - 1)])
+    def test_scripted_config_refuses_unread_options(self, epsilon, seed):
+        with pytest.raises(ValueError, match="^a scripted run reads no epsilon or seed"):
+            RunConfig(scheme=LAURENT, mode="scripted", steps=5, epsilon=epsilon, seed=seed)
+        assert RunConfig(LAURENT, "scripted", 5, 0, 0) == RunConfig(LAURENT, "scripted", 5)
+
+    def test_scripted_config_checks_keep_their_order(self):
+        # the older checks still speak first
+        with pytest.raises(ValueError, match="^epsilon must lie in"):
+            RunConfig(scheme=LAURENT, mode="scripted", steps=5, epsilon=Fraction(3, 2))
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits"):
+            RunConfig(scheme=LAURENT, mode="scripted", steps=5, seed=2**64)
+        with pytest.raises(TypeError, match="^seed must be an integer"):
+            RunConfig(scheme=LAURENT, mode="scripted", steps=5, seed=1.5)
+
     @pytest.mark.parametrize("scheme", ["laurent", None, RewardScheme], ids=repr)
     def test_scheme_must_be_a_reward_scheme(self, scheme):
         with pytest.raises(TypeError, match="^scheme must be a RewardScheme, got "):

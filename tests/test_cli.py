@@ -483,6 +483,19 @@ class TestBandit:
         assert summary["flip_step"] is None
         assert summary["final_preference"] == "blue"
 
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_egreedy_flip_on_a_tie(self, tmp_path, seed):
+        # ties go to red, so a blue mean that only equals the red mean is a flip
+        out = tmp_path / "trace.csv"
+        code, stdout, _ = _run_in_process([
+            "bandit", "--scheme", "approx:3/2", "--mode", "egreedy", "--steps", "40",
+            "--epsilon", "1/2", "--seed", str(seed), "--out", str(out),
+        ])
+        assert code == 0
+        flip = json.loads(stdout)["flip_step"]
+        _, _, _, red_mean, blue_mean, preferred = read_csv(out)[flip]
+        assert (red_mean, blue_mean, preferred) == ("1", "1", "red")
+
     def test_trace_values_round_trip(self, narch_cli, tmp_path):
         out = tmp_path / "trace.csv"
         narch_cli(
@@ -702,7 +715,9 @@ class TestPlainCsv:
             out = Path(directory) / "trace.csv"
             code, _, stderr = _run_in_process([
                 "bandit", "--scheme", scheme, "--mode", mode, "--steps", str(steps),
-                "--epsilon", str(epsilon), "--seed", str(seed), "--out", str(out),
+                # a scripted run refuses a nonzero epsilon or seed, which it never reads
+                *(["--epsilon", str(epsilon), "--seed", str(seed)] if mode == "egreedy" else []),
+                "--out", str(out),
             ])
             assert code == 0, stderr
             text = out.read_text(encoding="utf-8")
@@ -761,6 +776,47 @@ class TestConfigTypes:
         )
         assert result.returncode == 2
         assert not out.exists()
+
+
+_SCRIPTED_UNREAD = (
+    "narch: invalid input: a scripted run reads no epsilon or seed; give 0 or leave them out\n"
+)
+
+
+class TestScriptedUnreadOptions:
+    """A scripted run draws nothing, so a nonzero epsilon or seed is refused, not dropped."""
+
+    SCRIPTED = ["bandit", "--scheme", "laurent", "--mode", "scripted", "--steps", "50"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--epsilon", "1/2"], ["--seed", "9"], ["--epsilon", "1/2", "--seed", "9"],
+    ], ids=["epsilon", "seed", "both"])
+    def test_flag_exits_2(self, tmp_path, extra):
+        out = tmp_path / "trace.csv"
+        code, stdout, stderr = _run_in_process([*self.SCRIPTED, *extra, "--out", str(out)])
+        assert (code, stdout, stderr) == (2, "", _SCRIPTED_UNREAD)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keys", [
+        {"epsilon": "1/3"}, {"seed": 5}, {"epsilon": "1/3", "seed": 5},
+    ], ids=["epsilon", "seed", "both"])
+    def test_config_key_exits_2(self, tmp_path, keys):
+        path = tmp_path / "config.json"
+        config = {"scheme": "approx:7/2", "mode": "scripted", "steps": 50, **keys}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        code, stdout, stderr = _run_in_process(["bandit", "--config", str(path), "--out", str(out)])
+        assert (code, stdout, stderr) == (2, "", _SCRIPTED_UNREAD)
+        assert not out.exists()
+
+    def test_zero_values_keep_the_trace(self, tmp_path):
+        plain, zeros = tmp_path / "plain.csv", tmp_path / "zeros.csv"
+        assert _run_in_process([*self.SCRIPTED, "--out", str(plain)])[0] == 0
+        code, _, _ = _run_in_process([
+            *self.SCRIPTED, "--epsilon", "0/3", "--seed", "0", "--out", str(zeros),
+        ])
+        assert code == 0
+        assert zeros.read_bytes() == plain.read_bytes()
 
 
 class TestScripts:

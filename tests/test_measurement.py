@@ -29,6 +29,7 @@ from .reference_measurement import (
     fraction_min_feasible_top,
     pairwise_is_accurate_measurement,
 )
+from .strategies import fraction_grid
 
 
 def two_element_structure():
@@ -670,11 +671,9 @@ class TestMinFeasibleTop:
         st.data(),
     )
     def test_jittered_accurate_assignments_respect_bound(self, n, r, data):
-        slacks = [
-            r + data.draw(st.fractions(min_value=0, max_value=2, max_denominator=6))
-            for _ in range(n + 2)
-        ]
-        base = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        slack = st.sampled_from(fraction_grid(0, 2, 6))
+        slacks = [r + data.draw(slack) for _ in range(n + 2)]
+        base = data.draw(st.sampled_from(fraction_grid(-5, 5, 6)))
         values = {}
         level = base
         for i in range(n + 1):
@@ -733,7 +732,7 @@ class TestDiminishingReturns:
 
     @given(
         st.lists(
-            st.fractions(min_value=0, max_value=4, max_denominator=8),
+            st.sampled_from(fraction_grid(0, 4, 8)),
             min_size=20,
             max_size=24,
         ),

@@ -29,6 +29,21 @@ against ``reference_laurent``, and on every series the text of
 ``format_series`` and that ``parse`` reads it back. It prints how many
 pairs compared LESS, EQUAL and GREATER and how many sums cancel at some
 exponent.
+
+The measurement test takes every relation on one to three labels, self-pairs
+included (2 + 16 + 512 relations), under every assignment of values from
+{0, 1/2, 1, 3/2, 2} and thresholds 1/2 and 1, whose exact gaps put values
+on the bound. ``is_accurate_measurement`` must agree with the pairwise
+definition written out on ``Fraction``s: the relation equals the set of
+pairs with ``f(x1) + r <= f(x2)``. It prints how many checks were accurate
+and how many relations have rows that do not nest.
+
+The bandit test takes every static and dynamic M = p/q with p <= 24 and
+q <= 4 (64 values) and compares ``first_flip`` at bounds 1 to 39 and 2,048
+with a scan that adds up the jackpots paid at presses 1, 2, 4, ... from
+their definition: the first step whose blue total is below its red total
+of one unit per step, a tie not being a flip. ``crossover_step`` must give
+the static scan's step, and the exact scheme no flip at all.
 """
 
 import os
@@ -38,12 +53,18 @@ from itertools import product
 
 from narch import (
     AffineChain,
+    FiniteSigStructure,
+    MeasurementAssignment,
+    RewardScheme,
     SeriesParseError,
     SigPrimeCertificate,
     add,
     compare,
+    crossover_step,
     decide_affine_sig_prime,
+    first_flip,
     format_series,
+    is_accurate_measurement,
     mul,
     normalize,
     parse,
@@ -198,3 +219,85 @@ def test_every_small_series_pair_matches_the_reference():
     assert mismatches[:5] == []
     # a scope without one of these would stop checking that branch
     assert orderings.keys() == {"LESS", "EQUAL", "GREATER"} and cancelling
+
+
+LABELS = ("a", "b", "c")
+VALUE_GRID = (0, _HALF, 1, 3 * _HALF, 2)
+GAPS = (_HALF, Fraction(1))
+
+
+def _nested(labels, relation):
+    """Whether every two rows of the relation are ordered by inclusion."""
+    rows = [{x2 for x1, x2 in relation if x1 == x} for x in labels]
+    return all(row <= other or other <= row for row in rows for other in rows)
+
+
+def test_every_small_relation_matches_the_pairwise_definition():
+    checks, accurate, unnested, mismatches = 0, 0, 0, []
+    for n in range(1, len(LABELS) + 1):
+        labels = LABELS[:n]
+        pairs = list(product(labels, repeat=2))
+        cases = []  # (assignment, its separated pairs) per grid assignment and gap
+        for values in product(VALUE_GRID, repeat=n):
+            f = dict(zip(labels, map(Fraction, values)))
+            for r in GAPS:
+                separated = {(x1, x2) for x1, x2 in pairs if f[x1] + r <= f[x2]}
+                cases.append((MeasurementAssignment(f, r), separated))
+        for members in product((False, True), repeat=len(pairs)):
+            relation = {pair for pair, member in zip(pairs, members) if member}
+            structure = FiniteSigStructure(labels, relation)
+            unnested += not _nested(labels, relation)
+            for assignment, separated in cases:
+                expected = relation == separated
+                checks += 1
+                accurate += expected
+                if is_accurate_measurement(structure, assignment) != expected:
+                    mismatches.append((structure, assignment, expected))
+    print(f"{checks} checks, {accurate} accurate, {unnested} relations with rows that do not nest, "
+          f"{len(mismatches)} mismatches")
+    assert checks == sum(
+        2 ** (n * n) * len(VALUE_GRID) ** n * len(GAPS) for n in range(1, len(LABELS) + 1)
+    )
+    assert mismatches[:5] == []
+    # a scope without accurate checks or unnested rows would stop checking those paths
+    assert accurate and unnested
+
+
+M_GRID = sorted({Fraction(p, q) for p in range(1, 25) for q in range(1, 5)})
+FLIP_BOUNDS = (*range(1, 40), 2048)
+
+
+def _scanned_flip(m, dynamic, bound):
+    """The first step <= bound whose blue total is below step red units, or None."""
+    blue, jackpot, press = 0, m, 1
+    for step in range(1, bound + 1):
+        if step == press:  # the presses 1, 2, 4, ... pay m, or m * 2^j when dynamic
+            blue += jackpot
+            press *= 2
+            jackpot *= 2 if dynamic else 1
+        if blue < step:
+            return step
+    return None
+
+
+def test_every_small_approximation_flips_where_a_step_scan_does():
+    checks, flips, mismatches = 0, 0, []
+    laurent = RewardScheme.exact_laurent()
+    for m in M_GRID:
+        static = _scanned_flip(m, False, max(FLIP_BOUNDS))
+        if crossover_step(m, bound=max(FLIP_BOUNDS)) != static:
+            mismatches.append(("crossover_step", m))
+        for dynamic, scheme in ((False, RewardScheme.static_approx(m)),
+                                (True, RewardScheme.dynamic_approx(m))):
+            for bound in FLIP_BOUNDS:
+                expected = _scanned_flip(m, dynamic, bound)
+                checks += 1
+                flips += expected is not None
+                if first_flip(scheme, bound) != expected:
+                    mismatches.append((scheme, bound, expected))
+    mismatches += [bound for bound in FLIP_BOUNDS if first_flip(laurent, bound) is not None]
+    print(f"{len(M_GRID)} values of M, {checks} checks, {flips} flips, {len(mismatches)} mismatches")
+    assert len(M_GRID) == 64 and checks == 64 * 2 * len(FLIP_BOUNDS)
+    assert mismatches[:5] == []
+    # a scope without flips, or without runs that never flip, would check one side only
+    assert 0 < flips < checks
