@@ -49,6 +49,11 @@ _CHUNK_ROWS = 4096  # scripted rows joined per write: memory stays flat in --ste
 _TRACE_HEADER = "step,arm,reward,red_mean,blue_mean,preferred\n"
 
 
+def _expect(value: object, kind: object, claim: str) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"{claim}, got {value!r}")
+
+
 class Arm(Enum):
     RED = "red"
     BLUE = "blue"
@@ -58,6 +63,7 @@ KIND_LAURENT = "laurent"
 KIND_STATIC = "static"
 KIND_DYNAMIC = "dynamic"
 _KINDS = (KIND_LAURENT, KIND_STATIC, KIND_DYNAMIC)
+_PREFIXES = {KIND_STATIC: "approx:", KIND_DYNAMIC: "dynamic:"}
 
 
 class RewardScheme(_Frozen):
@@ -98,18 +104,17 @@ class RewardScheme(_Frozen):
     @classmethod
     def parse(cls, text: str) -> "RewardScheme":
         """Parse ``laurent``, ``approx:<M>`` or ``dynamic:<M>``."""
-        if text == "laurent":
+        if text == KIND_LAURENT:
             return cls.exact_laurent()
-        for prefix, kind in (("approx:", KIND_STATIC), ("dynamic:", KIND_DYNAMIC)):
+        for kind, prefix in _PREFIXES.items():
             if text.startswith(prefix):
                 return cls(kind, text[len(prefix):])
         raise ValueError(f"unknown scheme {text!r} (expected laurent, approx:<M> or dynamic:<M>)")
 
     def text(self) -> str:
         if self.kind == KIND_LAURENT:
-            return "laurent"
-        prefix = "approx" if self.kind == KIND_STATIC else "dynamic"
-        return f"{prefix}:{self.approx}"
+            return KIND_LAURENT
+        return f"{_PREFIXES[self.kind]}{self.approx}"
 
     def zero(self) -> RewardValue:
         return ZERO if self.kind == KIND_LAURENT else _RATIONAL_ZERO
@@ -145,12 +150,9 @@ def env_step(
     state: EnvState, action: Arm, scheme: RewardScheme
 ) -> tuple[EnvState, RewardValue]:
     """One environment transition: red pays the unit, blue pays on powers of two."""
-    if not isinstance(state, EnvState):
-        raise TypeError(f"state must be an EnvState, got {state!r}")
-    if not isinstance(action, Arm):
-        raise TypeError(f"action must be an Arm, got {action!r}")
-    if not isinstance(scheme, RewardScheme):
-        raise TypeError(f"scheme must be a RewardScheme, got {scheme!r}")
+    _expect(state, EnvState, "state must be an EnvState")
+    _expect(action, Arm, "action must be an Arm")
+    _expect(scheme, RewardScheme, "scheme must be a RewardScheme")
     if action is Arm.RED:
         return EnvState(state.blue_presses, state.step_count + 1), scheme.unit()
     presses = state.blue_presses + 1
@@ -175,6 +177,8 @@ def mean_compare(
     if laurent != isinstance(sum_b, LaurentSeries):
         raise TypeError("cannot compare a Laurent sum against a bare rational")
     if not laurent:
+        for total in (sum_a, sum_b):
+            _expect(total, Fraction, "sum must be a Fraction or a LaurentSeries")
         sum_a, sum_b = monomial(sum_a, 0), monomial(sum_b, 0)
     return compare_scaled(sum_a, n_b, sum_b, n_a)
 
@@ -185,7 +189,8 @@ def exact_mean(total: RewardValue, count: int) -> RewardValue:
         raise ValueError("sample count must be positive")
     if isinstance(total, LaurentSeries):
         return scalar_mul(Fraction(1, count), total)
-    return as_rational(total) / count
+    _expect(total, Fraction, "sum must be a Fraction or a LaurentSeries")
+    return Fraction(total.numerator, total.denominator * count)
 
 
 class ScriptedRound(NamedTuple):
@@ -241,6 +246,7 @@ def scripted_eval(n: int, scheme: RewardScheme) -> Iterator[ScriptedRound]:
     """
     if _integer(n, "round count") < 1:
         raise ValueError("round count must be positive")
+    _expect(scheme, RewardScheme, "scheme must be a RewardScheme")
 
     def rounds() -> Iterator[ScriptedRound]:
         red_total = (lambda step: monomial(step, 0)) if scheme.kind == KIND_LAURENT else Fraction
@@ -270,6 +276,7 @@ def first_flip(scheme: RewardScheme, bound: int = 2**32) -> Optional[int]:
     A Laurent total holds an eps^-1 term and never falls below, and no
     step lies within a bound below 1: both give None.
     """
+    _expect(scheme, RewardScheme, "scheme must be a RewardScheme")
     if _integer(bound, "bound") < 1 or scheme.kind == KIND_LAURENT:
         return None
     for _, last, _, num, den, _ in _bands(bound, scheme):
@@ -313,8 +320,7 @@ class RunConfig(_Frozen):
         seed: int = 0,
     ) -> None:
         epsilon = as_rational(epsilon)  # a non-rational is reported before any other fault
-        if not isinstance(scheme, RewardScheme):
-            raise TypeError(f"scheme must be a RewardScheme, got {scheme!r}")
+        _expect(scheme, RewardScheme, "scheme must be a RewardScheme")
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if _integer(steps, "steps") < 1:
@@ -361,22 +367,18 @@ class EpsilonGreedyResult(_Frozen):
         final_greedy: Arm,
         trace: tuple[PullRow, ...],
     ) -> None:
-        if not isinstance(config, RunConfig):
-            raise TypeError(f"config must be a RunConfig, got {config!r}")
+        _expect(config, RunConfig, "config must be a RunConfig")
         _integer(red_pulls, "red pull count")
         _integer(blue_pulls, "blue pull count")
         if red_pulls < 0 or blue_pulls < 0:
             raise ValueError("pull counts must be non-negative")
         for arm, total in (("red", red_sum), ("blue", blue_sum)):
-            if not isinstance(total, (Fraction, LaurentSeries)):
-                raise TypeError(f"{arm} sum must be a Fraction or a LaurentSeries, got {total!r}")
-        if not isinstance(final_greedy, Arm):
-            raise TypeError(f"final greedy arm must be an Arm, got {final_greedy!r}")
-        if not isinstance(trace, tuple):
-            raise TypeError(f"trace must be a tuple of pull rows, got {trace!r}")
+            claim = f"{arm} sum must be a Fraction or a LaurentSeries"
+            _expect(total, (Fraction, LaurentSeries), claim)
+        _expect(final_greedy, Arm, "final greedy arm must be an Arm")
+        _expect(trace, tuple, "trace must be a tuple of pull rows")
         for row in trace:
-            if not isinstance(row, PullRow):
-                raise TypeError(f"trace row must be a PullRow, got {row!r}")
+            _expect(row, PullRow, "trace row must be a PullRow")
         self._store(config, red_pulls, blue_pulls, red_sum, blue_sum, final_greedy, trace)
 
 
@@ -434,6 +436,7 @@ def _pulls(config: RunConfig) -> Iterator[tuple[int, Arm, RewardValue, int, int,
 
 def epsilon_greedy_run(config: RunConfig) -> EpsilonGreedyResult:
     """The whole run of :func:`_pulls`, with exact means per pull."""
+    _expect(config, RunConfig, "config must be a RunConfig")
     if config.mode != MODE_EGREEDY:
         raise ValueError("config.mode must be 'egreedy'")
     scheme = config.scheme
@@ -460,9 +463,8 @@ def reward_text(value: RewardValue) -> str:
     """Exact text for a reward value: series text or plain rational."""
     if isinstance(value, LaurentSeries):
         return format_series(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"reward must be a Fraction or a LaurentSeries, got {value!r}")
+    _expect(value, Fraction, "reward must be a Fraction or a LaurentSeries")
+    return str(value)
 
 
 def _ratio_text(numerator: int, denominator: int, suffix: str = "") -> str:
@@ -531,6 +533,7 @@ def write_trace(config: RunConfig, out: TextIO) -> tuple[Optional[int], str]:
     Returns the flip step (None if none; under epsilon-greedy the first move
     of the preference from blue to red, a tie included) and the final preference.
     """
+    _expect(config, RunConfig, "config must be a RunConfig")
     scheme = config.scheme
     out.write(_TRACE_HEADER)
     write_rows = _scripted_rows if config.mode == MODE_SCRIPTED else _egreedy_rows

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, ContextManager, Iterable, Iterator, Optional, 
 # Only the kernel is imported here. Each other layer, and json, is imported
 # inside the handlers that use it, so a run loads (and, without bytecode
 # caches, compiles) only its own layers.
-from .laurent import _BLANK_CHARS, SeriesParseError, as_rational, compare, format_series, parse
+from .laurent import _BLANK_CHARS, as_rational, compare, format_series, parse
 
 if TYPE_CHECKING:
     from .bandit import RunConfig
@@ -27,10 +27,6 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
-
-class InputError(Exception):
-    pass
-
 
 class OutputError(Exception):
     pass
@@ -51,7 +47,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_json_file(path: str) -> object:
@@ -62,7 +58,7 @@ def _load_json_file(path: str) -> object:
         obj: dict = {}
         for key, value in pairs:
             if key in obj:
-                raise InputError(f"invalid JSON in {path}: duplicate key {json.dumps(key)}")
+                raise ValueError(f"invalid JSON in {path}: duplicate key {json.dumps(key)}")
             obj[key] = value
         return obj
 
@@ -70,9 +66,9 @@ def _load_json_file(path: str) -> object:
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
-        raise InputError(f"invalid JSON in {path}: nested too deeply") from None
+        raise ValueError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 @contextlib.contextmanager
@@ -139,7 +135,7 @@ def _cmd_measure_check(args: argparse.Namespace) -> int:
 
     obj = _load_json_file(args.input)
     if not isinstance(obj, dict) or "structure" not in obj or "assignment" not in obj:
-        raise InputError("measure input must have 'structure' and 'assignment' objects")
+        raise ValueError("measure input must have 'structure' and 'assignment' objects")
     structure = structure_from_json(obj["structure"])
     assignment = assignment_from_json(obj["assignment"])
     accurate = is_accurate_measurement(structure, assignment)
@@ -152,7 +148,7 @@ def _cmd_measure_feasible_top(args: argparse.Namespace) -> int:
 
     r = as_rational(args.r)
     if args.n_min < 0 or args.n_max < args.n_min:
-        raise InputError("need 0 <= n-min <= n-max")
+        raise ValueError("need 0 <= n-min <= n-max")
     min_feasible_top(args.n_min, r)  # rejects a bad r before any row is written
     with _text_output(args.out) as out:
         out.write("n,min_top\n")
@@ -175,9 +171,6 @@ def _cmd_measure_plateau(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_BANDIT_OPTIONS = ("scheme", "mode", "steps", "epsilon", "seed")
-
-
 def _bandit_config(args: argparse.Namespace) -> RunConfig:
     import json
 
@@ -187,26 +180,22 @@ def _bandit_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         obj = _load_json_file(args.config)
         if not isinstance(obj, dict):
-            raise InputError("bandit config JSON must be an object")
+            raise ValueError("bandit config JSON must be an object")
         for key in obj:
-            if key not in _BANDIT_OPTIONS:
-                raise InputError(f"unknown bandit config key {json.dumps(key)}")
+            if key not in RunConfig.__match_args__:
+                raise ValueError(f"unknown bandit config key {json.dumps(key)}")
         values.update(obj)
-    for key in _BANDIT_OPTIONS:
+    for key in RunConfig.__match_args__:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     for key in ("scheme", "mode", "steps"):
         if key not in values:
-            raise InputError(f"missing required bandit option '{key}'")
-    scheme = RewardScheme.parse(str(values["scheme"]))
-    return RunConfig(
-        scheme=scheme,
-        mode=str(values["mode"]),
-        steps=values["steps"],
-        epsilon=values.get("epsilon", 0),
-        seed=values.get("seed", 0),
-    )
+            raise ValueError(f"missing required bandit option '{key}'")
+    # every key is a RunConfig field, so epsilon and seed default there
+    values["scheme"] = RewardScheme.parse(str(values["scheme"]))
+    values["mode"] = str(values["mode"])
+    return RunConfig(**values)
 
 
 def _cmd_bandit(args: argparse.Namespace) -> int:
@@ -305,11 +294,11 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     except OutputError as exc:
         print(f"narch: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:  # reads raise InputError and --out writes OutputError
+    except OSError as exc:  # reads raise ValueError and --out writes OutputError
         _discard_stdout()
         print(f"narch: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InputError, SeriesParseError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"narch: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -55,8 +55,9 @@ class Ordering(Enum):
 class PlusInfinity:
     """Order marker for the zero series.
 
-    Greater than every integer and equal to itself, stated once in ``__lt__``
-    (``total_ordering`` derives the rest); absorbs integer addition.
+    Its one instance is :data:`PLUS_INFINITY`, which the constructor, copies and
+    pickles return, so equality is identity. Greater than every integer, stated
+    once in ``__lt__`` (``total_ordering`` derives the rest); absorbs integer addition.
     """
 
     _instance: "PlusInfinity | None" = None
@@ -69,11 +70,8 @@ class PlusInfinity:
     def __repr__(self) -> str:
         return "PlusInfinity"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PlusInfinity)
-
-    def __hash__(self) -> int:
-        return hash("PlusInfinity")
+    def __reduce__(self) -> str:
+        return "PLUS_INFINITY"
 
     def __lt__(self, other: object):
         if isinstance(other, (int, PlusInfinity)):
@@ -389,8 +387,6 @@ def scalar_mul(q: RationalLike, a: LaurentSeries) -> LaurentSeries:
     num, den = _rational_parts(q)
     if num == 0:
         return ZERO
-    if num == den:
-        return a
     return _raw(tuple([_reduced(e, num * n, den * d) for e, n, d in a._rows]))
 
 

@@ -268,8 +268,8 @@ def _affine_rows(chain: AffineChain) -> list[tuple[int, int, int, int]]:
     The coefficient of ``x_i`` at e is (p + i * q) / d with d > 0, from
     base's b_num/b_den and step's s_num/s_den there: p = b_num * s_den,
     q = s_num * b_den, d = b_den * s_den. One merge walk over the two
-    ascending row tuples, as in :func:`~narch.laurent.add`, gives them; at
-    an exponent only one series has, the other's coefficient is 0/1.
+    ascending row tuples gives them, where :func:`~narch.laurent.add` sorts;
+    at an exponent only one series has, the other's coefficient is 0/1.
     """
     base, step = chain.base._rows, chain.step._rows
     rows, j, end = [], 0, len(step)

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from narch.bandit import (
     mean_compare,
     reward_text,
     scripted_eval,
+    write_trace,
 )
 from narch.laurent import ONE, Ordering, ZERO, compare, monomial, parse, scalar_mul
 from narch.rng import Xorshift64Star, _threshold
@@ -179,6 +181,23 @@ class TestSampleCounts:
         ):
             with pytest.raises(ValueError):
                 call()
+
+    @pytest.mark.parametrize("total", ["3", 3, 3.0, True], ids=repr)
+    def test_sums_are_not_coerced(self, total):
+        message = "^sum must be a Fraction or a LaurentSeries, got "
+        for call in (
+            lambda: mean_compare(total, 1, Fraction(2), 1),
+            lambda: mean_compare(Fraction(2), 1, total, 1),
+            lambda: exact_mean(total, 2),
+        ):
+            with pytest.raises(TypeError, match=message):
+                call()
+
+    def test_count_checks_come_before_sum_checks(self):
+        with pytest.raises(ValueError, match="^sample counts must be positive$"):
+            mean_compare("3", 0, "2", 1)
+        with pytest.raises(ValueError, match="^sample count must be positive$"):
+            exact_mean("3", 0)
 
     def test_large_equal_means_compare_equal(self):
         total = Fraction(10**17 + 1)
@@ -402,6 +421,23 @@ class TestRuntimeText:
     def test_exact_mean(self):
         assert exact_mean(Fraction(3), 2) == Fraction(3, 2)
         assert exact_mean(monomial(3, -1), 2) == monomial(Fraction(3, 2), -1)
+
+
+@pytest.mark.parametrize(
+    "call, claim",
+    [
+        (lambda: scripted_eval(3, "laurent"), "scheme must be a RewardScheme"),
+        (lambda: first_flip("approx:3", 10), "scheme must be a RewardScheme"),
+        (lambda: first_flip("approx:3", 0), "scheme must be a RewardScheme"),
+        (lambda: write_trace("x", io.StringIO()), "config must be a RunConfig"),
+        (lambda: epsilon_greedy_run("x"), "config must be a RunConfig"),
+    ],
+    ids=["scripted_eval", "first_flip", "first_flip-bound-0", "write_trace", "epsilon_greedy_run"],
+)
+def test_entry_points_reject_other_arguments_when_called(call, claim):
+    # raised by the call itself: scripted_eval's generator is never iterated here
+    with pytest.raises(TypeError, match=f"^{claim}, got "):
+        call()
 
 
 class TestXorshift:

@@ -18,6 +18,7 @@ from narch.bandit import (
     RunConfig,
     epsilon_greedy_run,
     reward_text,
+    write_trace,
 )
 from narch.rng import Xorshift64Star
 
@@ -35,6 +36,7 @@ SEEDS = [0, 7, 20260809, 2**64 - 1]
 RESULT_FIELDS = (
     "config", "red_pulls", "blue_pulls", "red_sum", "blue_sum", "final_greedy", "trace"
 )
+HEADER = ["step", "arm", "reward", "red_mean", "blue_mean", "preferred"]
 
 
 def _config(scheme, epsilon, seed, steps) -> RunConfig:
@@ -54,6 +56,37 @@ def _assert_same_run(got: EpsilonGreedyResult, want: EpsilonGreedyResult) -> Non
             assert value_types(got_value) == value_types(want_value), got_row.step
 
 
+def _cell(value):
+    return "" if value is None else reward_text(value)
+
+
+def _reference_rows(reference: EpsilonGreedyResult) -> list[list[str]]:
+    """The reference trace as the CSV cells the writer should produce."""
+    return [
+        [str(row.step), row.arm.value, reward_text(row.reward), _cell(row.red_mean),
+         _cell(row.blue_mean), row.preferred.value]
+        for row in reference.trace
+    ]
+
+
+def _flip_step(trace):
+    previous = None
+    for row in trace:
+        if previous is Arm.BLUE and row.preferred is Arm.RED:
+            return row.step
+        previous = row.preferred
+    return None
+
+
+def _assert_writer_matches(config: RunConfig, reference: EpsilonGreedyResult) -> None:
+    # the trace writer the CLI ships: its rows, flip step and final preference
+    out = io.StringIO()
+    flip_step, final_preference = write_trace(config, out)
+    assert list(csv.reader(io.StringIO(out.getvalue()))) == [HEADER, *_reference_rows(reference)]
+    assert flip_step == _flip_step(reference.trace)
+    assert final_preference == reference.final_greedy.value
+
+
 def test_every_result_field_is_checked():
     # the value classes keep their fields, in constructor order, as __slots__
     assert EpsilonGreedyResult.__slots__ == RESULT_FIELDS
@@ -66,7 +99,9 @@ def test_run_matches_stepwise_reference(scheme, epsilon):
     for steps in (1, 2, 1500):
         for seed in SEEDS:
             config = _config(scheme, epsilon, seed, steps)
-            _assert_same_run(epsilon_greedy_run(config), stepwise_epsilon_greedy_run(config))
+            reference = stepwise_epsilon_greedy_run(config)
+            _assert_same_run(epsilon_greedy_run(config), reference)
+            _assert_writer_matches(config, reference)
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,7 +113,9 @@ def test_run_matches_stepwise_reference(scheme, epsilon):
 )
 def test_random_runs_match_stepwise_reference(scheme, epsilon, seed, steps):
     config = _config(scheme, epsilon, seed, steps)
-    _assert_same_run(epsilon_greedy_run(config), stepwise_epsilon_greedy_run(config))
+    reference = stepwise_epsilon_greedy_run(config)
+    _assert_same_run(epsilon_greedy_run(config), reference)
+    _assert_writer_matches(config, reference)
 
 
 @pytest.mark.parametrize("epsilon", EPSILONS, ids=[str(e) for e in EPSILONS])
@@ -101,15 +138,6 @@ def test_same_draws_as_reference(monkeypatch, epsilon):
     assert len(got) >= 798
 
 
-def _flip_step(trace):
-    previous = None
-    for row in trace:
-        if previous is Arm.BLUE and row.preferred is Arm.RED:
-            return row.step
-        previous = row.preferred
-    return None
-
-
 @pytest.mark.parametrize("epsilon", EPSILONS, ids=[str(e) for e in EPSILONS])
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.text() for s in SCHEMES])
 def test_cli_cells_match_reference_values(tmp_path, scheme, epsilon):
@@ -124,18 +152,10 @@ def test_cli_cells_match_reference_values(tmp_path, scheme, epsilon):
         ])
     assert code == 0
     reference = stepwise_epsilon_greedy_run(config)
-
-    def cell(value):
-        return "" if value is None else reward_text(value)
-
     with open(out, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == ["step", "arm", "reward", "red_mean", "blue_mean", "preferred"]
-    assert rows[1:] == [
-        [str(row.step), row.arm.value, reward_text(row.reward), cell(row.red_mean),
-         cell(row.blue_mean), row.preferred.value]
-        for row in reference.trace
-    ]
+    assert rows[0] == HEADER
+    assert rows[1:] == _reference_rows(reference)
     summary = json.loads(captured.getvalue())
     assert summary["final_preference"] == reference.final_greedy.value
     assert summary["flip_step"] == _flip_step(reference.trace)

@@ -16,6 +16,7 @@ from narch.laurent import (
     ONE,
     Ordering,
     PLUS_INFINITY,
+    PlusInfinity,
     SeriesParseError,
     ZERO,
     add,
@@ -203,6 +204,15 @@ class TestDerivedOperators:
         top = PLUS_INFINITY
         assert top == top and top <= top and top >= top
         assert not (top != top or top < top or top > top)
+
+    def test_plus_infinity_has_one_instance(self):
+        # identity is its only equality: copies and every pickle protocol give the object back
+        assert "__eq__" not in vars(PlusInfinity) and "__hash__" not in vars(PlusInfinity)
+        assert PlusInfinity() is PLUS_INFINITY
+        assert copy.copy(PLUS_INFINITY) is PLUS_INFINITY
+        assert copy.deepcopy(PLUS_INFINITY) is PLUS_INFINITY
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(PLUS_INFINITY, protocol)) is PLUS_INFINITY, protocol
 
     @pytest.mark.parametrize("other", [Fraction(1), 1.5, None], ids=repr)
     def test_plus_infinity_against_non_integers_raises(self, other):
