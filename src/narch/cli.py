@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
 
+
 class OutputError(Exception):
     pass
 
@@ -84,7 +85,8 @@ def _atomic_output(path: str) -> Iterator[TextIO]:
         # open() applies the umask like a direct write would; mkstemp forces 0600
         handle = open(temp, "x", encoding="utf-8", newline="")
     except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+        # the reason alone: the exception's text names the temp file, whose name is random
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     try:
         with handle:
             yield handle
@@ -93,7 +95,7 @@ def _atomic_output(path: str) -> Iterator[TextIO]:
         with contextlib.suppress(OSError):
             os.unlink(temp)
         if isinstance(exc, OSError):
-            raise OutputError(f"cannot write {path}: {exc}") from exc
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -616,6 +616,24 @@ class TestAtomicOutput:
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "out, reason",
+        [
+            ("missing/trace.csv", "No such file or directory"),
+            ("plain.txt/trace.csv", "Not a directory"),
+            ("trace.csv", "Is a directory"),
+        ],
+        ids=["missing-directory", "parent-is-a-file", "directory-as-target"],
+    )
+    def test_failure_message_is_the_same_on_every_run(self, narch_cli, tmp_path, out, reason):
+        # the temp file's name is random, so a message that named it would differ between runs
+        (tmp_path / "plain.txt").write_bytes(b"")
+        (tmp_path / "trace.csv").mkdir()
+        first, second = (narch_cli(*SCRIPTED_ARGV, "--out", out, cwd=tmp_path) for _ in range(2))
+        assert (first.returncode, first.stdout) == (3, "")
+        assert first.stderr == f"narch: cannot write {out}: {reason}\n"
+        assert second.stderr == first.stderr
+
     def test_failure_mid_stream_leaves_no_file(self, monkeypatch, tmp_path):
         monkeypatch.setattr(narch.bandit, "_bands", _failing_bands)
         with contextlib.redirect_stdout(io.StringIO()) as captured:
@@ -819,70 +837,7 @@ class TestScriptedUnreadOptions:
         assert zeros.read_bytes() == plain.read_bytes()
 
 
-class TestScripts:
-    def test_delayed_gratification_script(self):
-        script = REPO_ROOT / "scripts" / "delayed_gratification.py"
-        result = subprocess.run(
-            [sys.executable, str(script), "--rounds", "20000"],
-            capture_output=True, text=True, cwd=REPO_ROOT,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == (
-            "scheme             flip step    note\n"
-            "approx:1000        14001        crossover_step(1000) = 14001"
-            " (confirmed from two scripted rows)\n"
-            "approx:1000000     25000001     crossover_step(1000000) = 25000001\n"
-            "laurent            None         no flip in 20000 rounds\n"
-            "dynamic:1000000    None         no flip in 20000 rounds\n"
-        )
-
-    @pytest.mark.parametrize("rounds", ["-5", "1_0", "0"])
-    def test_delayed_gratification_rejects_bad_rounds(self, rounds):
-        script = REPO_ROOT / "scripts" / "delayed_gratification.py"
-        result = subprocess.run(
-            [sys.executable, str(script), f"--rounds={rounds}"],
-            capture_output=True, text=True, cwd=REPO_ROOT,
-        )
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == (
-            "delayed_gratification: invalid input: "
-            f"--rounds must be a positive integer, got {rounds!r}\n"
-        )
-
-    def test_measurement_growth_script(self):
-        script = REPO_ROOT / "scripts" / "measurement_growth.py"
-        result = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, cwd=REPO_ROOT
-        )
-        assert result.returncode == 0, result.stderr
-        assert "chain index  4096: 4097\n" in result.stdout
-        assert "plateaus at index 6 " in result.stdout
-
-    @pytest.mark.parametrize(
-        "r, message",
-        [("0.5", "not a rational: '0.5'"), ("0", "threshold must be positive")],
-    )
-    def test_measurement_growth_rejects_bad_threshold(self, r, message):
-        script = REPO_ROOT / "scripts" / "measurement_growth.py"
-        result = subprocess.run(
-            [sys.executable, str(script), "--r", r], capture_output=True, text=True, cwd=REPO_ROOT
-        )
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == f"measurement_growth: invalid input: {message}\n"
-
-    @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
-    def test_delayed_gratification_confirms_large_crossover_quickly(self, optimize):
-        # confirming crossover_step(1000000) = 25000001 must not walk 25 million rows,
-        # and the check must survive -O, which strips assert statements
-        script = REPO_ROOT / "scripts" / "delayed_gratification.py"
-        result = subprocess.run(
-            [sys.executable, *optimize, str(script), "--rounds", "25000001"],
-            capture_output=True, text=True, cwd=REPO_ROOT, timeout=10,
-        )
-        assert result.returncode == 0, result.stderr
-        line = next(row for row in result.stdout.split("\n") if row.startswith("approx:1000000 "))
-        assert "crossover_step(1000000) = 25000001 (confirmed" in line
-
+class TestBench:
     def test_bench_selftest(self):
         # the bench probes narch names such as env_step; deleting one fails here
         script = REPO_ROOT / "bench" / "selftest.py"

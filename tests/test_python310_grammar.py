@@ -12,12 +12,12 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
-    path for folder in ("src", "scripts", "tests", "bench") for path in (REPO_ROOT / folder).rglob("*.py")
+    path for folder in ("src", "tests", "bench") for path in (REPO_ROOT / folder).rglob("*.py")
 )
 
 
 def test_every_folder_has_sources():
-    assert {path.relative_to(REPO_ROOT).parts[0] for path in SOURCES} == {"src", "scripts", "tests", "bench"}
+    assert {path.relative_to(REPO_ROOT).parts[0] for path in SOURCES} == {"src", "tests", "bench"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(REPO_ROOT).as_posix())
